@@ -913,62 +913,45 @@ class Orchestrator:
 # ----------------------------------------------------------------------
 
 def campaign_main(args) -> int:
-    """Dispatch ``pvc-bench campaign <run|resume|status|verify|watch>``."""
-    action = args.bench
-    if action not in ("run", "resume", "status", "verify", "watch"):
-        raise CampaignError(
-            f"unknown campaign action {action!r}; "
-            "choose from: run, resume, status, verify, watch"
-        )
-    if action == "watch":
-        from ..obs.watch import watch_main
-
-        return watch_main(args)
-    if not args.dir:
-        raise CampaignError("campaign commands need --dir <directory>")
-    if action == "run":
-        spec = get_spec(args.spec)
-        scenario, plan, worker_plan = args.inject, None, None
-        if scenario is not None and scenario in CAMPAIGN_SCENARIO_NAMES:
-            plan = build_campaign_plan(scenario, args.seed, len(spec))
-            scenario = None
-        elif scenario is not None and scenario in WORKER_SCENARIO_NAMES:
-            worker_plan = build_worker_plan(
-                scenario, args.seed, [u.id for u in spec.execution_order()]
-            )
-            scenario = None
-        elif scenario is not None and scenario not in SCENARIO_NAMES:
-            raise CampaignError(
-                f"unknown fault scenario {scenario!r}; choose an engine "
-                f"scenario ({', '.join(SCENARIO_NAMES)}), a campaign "
-                f"scenario ({', '.join(CAMPAIGN_SCENARIO_NAMES)}), or a "
-                f"worker scenario ({', '.join(WORKER_SCENARIO_NAMES)})"
-            )
-        orch = Orchestrator(
-            args.dir,
-            spec=spec,
-            scenario=scenario,
-            seed=args.seed,
-            unit_timeout_s=args.unit_timeout,
-            deadline_s=args.deadline,
-            campaign_plan=plan,
-            profile=getattr(args, "profile", False),
-            jobs=getattr(args, "jobs", None),
-            worker_plan=worker_plan,
-            max_respawns=getattr(args, "max_respawns", None),
-            hang_timeout_s=getattr(args, "hang_timeout", None),
-        )
-        return int(orch.run())
-    orch = Orchestrator(
-        args.dir,
+    """Dispatch ``pvc-bench campaign <run|resume|status|verify>``."""
+    if args.action == "status":
+        return int(Orchestrator(args.dir).status())
+    if args.action == "verify":
+        return int(Orchestrator(args.dir).verify())
+    supervision = dict(
         unit_timeout_s=args.unit_timeout,
         deadline_s=args.deadline,
-        jobs=getattr(args, "jobs", None),
-        max_respawns=getattr(args, "max_respawns", None),
-        hang_timeout_s=getattr(args, "hang_timeout", None),
+        jobs=args.jobs,
+        max_respawns=args.max_respawns,
+        hang_timeout_s=args.hang_timeout,
     )
-    if action == "resume":
-        return int(orch.resume())
-    if action == "status":
-        return int(orch.status())
-    return int(orch.verify())
+    if args.action == "resume":
+        return int(Orchestrator(args.dir, **supervision).resume())
+    spec = get_spec(args.spec)
+    scenario, plan, worker_plan = args.inject, None, None
+    if scenario is not None and scenario in CAMPAIGN_SCENARIO_NAMES:
+        plan = build_campaign_plan(scenario, args.seed, len(spec))
+        scenario = None
+    elif scenario is not None and scenario in WORKER_SCENARIO_NAMES:
+        worker_plan = build_worker_plan(
+            scenario, args.seed, [u.id for u in spec.execution_order()]
+        )
+        scenario = None
+    elif scenario is not None and scenario not in SCENARIO_NAMES:
+        raise CampaignError(
+            f"unknown fault scenario {scenario!r}; choose an engine "
+            f"scenario ({', '.join(SCENARIO_NAMES)}), a campaign "
+            f"scenario ({', '.join(CAMPAIGN_SCENARIO_NAMES)}), or a "
+            f"worker scenario ({', '.join(WORKER_SCENARIO_NAMES)})"
+        )
+    orch = Orchestrator(
+        args.dir,
+        spec=spec,
+        scenario=scenario,
+        seed=args.seed,
+        campaign_plan=plan,
+        profile=args.profile,
+        worker_plan=worker_plan,
+        **supervision,
+    )
+    return int(orch.run())

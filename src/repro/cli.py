@@ -1,6 +1,7 @@
 """``pvc-bench`` command-line interface.
 
-Mirrors the artifact's run scripts::
+Mirrors the artifact's run scripts; ``pvc-bench <command> --help`` lists
+the flags each command owns (any other flag is a usage error)::
 
     pvc-bench table2            # Tables II  (microbenchmarks)
     pvc-bench table3            # Table III  (P2P)
@@ -42,7 +43,8 @@ Crash-safe campaigns (write-ahead journal + checkpoint/resume)::
     pvc-bench campaign status --dir out
     pvc-bench campaign verify --dir out
 
-Live observability (event streams, watch board, exporters, trend)::
+Live observability (event streams, watch board, exporters, trend); the
+run directory is positional::
 
     pvc-bench campaign watch out                   # live status board
     pvc-bench obs export out --out trace.json      # Perfetto timeline
@@ -65,11 +67,11 @@ Service observability (trace propagation, RED/SLO, live board)::
     pvc-bench profile service --baseline BENCH_2.json  # storm p99 gate
 
 Exit codes (see ``repro.exitcodes``): 0 = clean, 1 = degraded cells or a
-measurement failure, 2 = failed cells or a fatal error, 3 = interrupted
-but resumable (``campaign resume`` finishes it), 4 = corrupt journal or
-result store.  With ``--manifest`` the exit code is always accompanied
-by a machine-readable manifest binding config, metrics and incident
-provenance.
+measurement failure, 2 = failed cells, a fatal error or a usage error,
+3 = interrupted but resumable (``campaign resume`` finishes it), 4 =
+corrupt journal or result store.  With ``--manifest`` the exit code is
+always accompanied by a machine-readable manifest binding config,
+metrics and incident provenance.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ from .analysis import (
     table_vi,
 )
 from .campaign.spec import SPEC_NAMES
-from .errors import ReproError, UnknownBenchmarkError
+from .errors import ReproError
 from .exitcodes import ExitCode, classify_error
 from .faults import (
     CAMPAIGN_SCENARIO_NAMES,
@@ -99,13 +101,7 @@ from .faults import (
 )
 from .hw.systems import all_systems
 
-__all__ = ["main"]
-
-#: Benchmarks the ``trace`` / ``metrics`` commands can run.  The plan is
-#: long enough (warmup + 30 reps = 32 injector ticks) that every fault
-#: scenario's trigger tick falls inside the run.
-_TELEMETRY_BENCHES = ("gemm", "triad", "p2p")
-
+__all__ = ["build_parser", "main"]
 
 def _run_instrumented(ctx: ExecutionContext, args) -> None:
     """Run one benchmark with the full telemetry session attached."""
@@ -121,6 +117,29 @@ def _run_instrumented(ctx: ExecutionContext, args) -> None:
     )
 
 
+def _gate(args, entries: list[dict], code: int, **snapshot_kw) -> int:
+    """Write (``--write-baseline``) and/or compare (``--baseline``) a
+    perf-regression snapshot of *entries*; a regression raises *code*
+    to the MEASUREMENT tier."""
+    from .profiler.baseline import (
+        build_snapshot,
+        compare_snapshots,
+        load_baseline,
+        write_baseline,
+    )
+
+    snapshot = build_snapshot(entries, **snapshot_kw)
+    if args.write_baseline:
+        write_baseline(args.write_baseline, snapshot)
+        print(f"baseline written to {args.write_baseline}", file=sys.stderr)
+    if args.baseline:
+        comparison = compare_snapshots(load_baseline(args.baseline), snapshot)
+        print(comparison.render(), end="")
+        if comparison.regressed:
+            code = max(code, int(ExitCode.MEASUREMENT))
+    return code
+
+
 def _cmd_profile(args) -> int:
     """``pvc-bench profile <bench>|smoke`` — iprof-style summaries.
 
@@ -130,12 +149,6 @@ def _cmd_profile(args) -> int:
     exit code to the MEASUREMENT tier).
     """
     from .ioutils import atomic_write_text
-    from .profiler.baseline import (
-        build_snapshot,
-        compare_snapshots,
-        load_baseline,
-        write_baseline,
-    )
     from .profiler.driver import (
         profile_bench,
         profile_campaign_set,
@@ -195,17 +208,7 @@ def _cmd_profile(args) -> int:
             f"in {entry['wall_s']:.2f}s wall, sim-cache hit rate "
             f"{rate:.1%}"
         )
-    snapshot = build_snapshot(
-        [run.entry() for run in runs] + campaign_entries
-    )
-    if args.write_baseline:
-        write_baseline(args.write_baseline, snapshot)
-        print(f"baseline written to {args.write_baseline}", file=sys.stderr)
-    if args.baseline:
-        comparison = compare_snapshots(load_baseline(args.baseline), snapshot)
-        print(comparison.render(), end="")
-        if comparison.regressed:
-            code = max(code, int(ExitCode.MEASUREMENT))
+    code = _gate(args, [run.entry() for run in runs] + campaign_entries, code)
     if args.manifest is not None:
         if len(runs) == 1:
             from .telemetry.manifest import write_manifest
@@ -235,26 +238,13 @@ def _cmd_profile_service(args) -> int:
     import shutil
     import tempfile
 
-    from .profiler.baseline import (
-        build_snapshot,
-        compare_snapshots,
-        load_baseline,
-        write_baseline,
-    )
     from .service.loadgen import service_benchmark_entries
 
     root = tempfile.mkdtemp(prefix="repro-profile-service-")
     try:
-        entries = service_benchmark_entries(
-            root,
-            requests=getattr(args, "requests", None) or 64,
-            concurrency=getattr(args, "concurrency", None) or 8,
-            distinct=getattr(args, "distinct", None) or 4,
-            seed=args.seed,
-        )
+        entries = service_benchmark_entries(root, seed=args.seed)
     finally:
         shutil.rmtree(root, ignore_errors=True)
-    code = 0
     for entry in entries:
         print(
             f"{entry['bench']}@{entry['system']}: {entry['completed']}/"
@@ -262,16 +252,7 @@ def _cmd_profile_service(args) -> int:
             f"storm p99 {entry['storm_p99_s'] * 1e3:.1f}ms, cache hit "
             f"rate {entry['service_cache_hit_rate']:.1%}"
         )
-    snapshot = build_snapshot(entries, tolerance=0.5)
-    if args.write_baseline:
-        write_baseline(args.write_baseline, snapshot)
-        print(f"baseline written to {args.write_baseline}", file=sys.stderr)
-    if args.baseline:
-        comparison = compare_snapshots(load_baseline(args.baseline), snapshot)
-        print(comparison.render(), end="")
-        if comparison.regressed:
-            code = max(code, int(ExitCode.MEASUREMENT))
-    return code
+    return _gate(args, entries, 0, tolerance=0.5)
 
 
 def _cmd_profile_sweep(args) -> int:
@@ -286,15 +267,9 @@ def _cmd_profile_sweep(args) -> int:
     the profile fails outright — a slow batch path defeats the whole
     subsystem even on a machine with no baseline to compare against.
     """
-    from .profiler.baseline import (
-        build_snapshot,
-        compare_snapshots,
-        load_baseline,
-        write_baseline,
-    )
     from .sweep.runner import SPEEDUP_FLOOR, sweep_benchmark_entries
 
-    entries = sweep_benchmark_entries(jobs=args.jobs or 1)
+    entries = sweep_benchmark_entries()
     code = 0
     for entry in entries:
         speedup = entry["batch_speedup"] or 0.0
@@ -314,16 +289,7 @@ def _cmd_profile_sweep(args) -> int:
             code = max(code, int(ExitCode.MEASUREMENT))
     # Throughput figures are wall-clock; the snapshot uses the same
     # wide tolerance as the service storm gate.
-    snapshot = build_snapshot(entries, tolerance=0.5)
-    if args.write_baseline:
-        write_baseline(args.write_baseline, snapshot)
-        print(f"baseline written to {args.write_baseline}", file=sys.stderr)
-    if args.baseline:
-        comparison = compare_snapshots(load_baseline(args.baseline), snapshot)
-        print(comparison.render(), end="")
-        if comparison.regressed:
-            code = max(code, int(ExitCode.MEASUREMENT))
-    return code
+    return _gate(args, entries, code, tolerance=0.5)
 
 
 def _cmd_trace(ctx: ExecutionContext, args) -> None:
@@ -386,10 +352,19 @@ def _cmd_systems() -> None:
         print(f"    software: {system.software}")
 
 
-def _cmd_health(ctx: ExecutionContext) -> None:
+def _print_check(label: str, check) -> None:
+    mark = "ok " if check.passed else "FAIL"
+    print(f"[{mark}] {label:12s} {check.name}"
+          + (f"  ({check.detail})" if check.detail else ""))
+
+
+def _cmd_health(ctx: ExecutionContext, args) -> None:
+    from .campaign.scheduler import scheduler_selfcheck
     from .core.result import CellStatus
     from .hw.selfcheck import node_health
     from .hw.systems import get_system
+    from .profiler.selfcheck import profiler_selfcheck
+    from .service.selfcheck import service_selfcheck
 
     for name in ("aurora", "dawn"):
         if ctx.active:
@@ -403,52 +378,30 @@ def _cmd_health(ctx: ExecutionContext) -> None:
             report = node_health(get_system(name))
         print(report.render())
         print()
-    from .profiler.selfcheck import profiler_selfcheck
-
-    checks = profiler_selfcheck()
-    for check in checks:
-        mark = "ok " if check.passed else "FAIL"
-        print(f"[{mark}] profiler     {check.name}"
-              + (f"  ({check.detail})" if check.detail else ""))
-    if not all(check.passed for check in checks):
-        ctx.record(CellStatus.DEGRADED)
-    print()
-    from .campaign.scheduler import scheduler_selfcheck
-
-    sched_checks = scheduler_selfcheck()
-    for check in sched_checks:
-        mark = "ok " if check.passed else "FAIL"
-        print(f"[{mark}] scheduler    {check.name}"
-              + (f"  ({check.detail})" if check.detail else ""))
-    if not all(check.passed for check in sched_checks):
-        ctx.record(CellStatus.DEGRADED)
-    print()
-    from .service.selfcheck import service_selfcheck
-
-    svc_checks = service_selfcheck()
-    for check in svc_checks:
-        mark = "ok " if check.passed else "FAIL"
-        print(f"[{mark}] service      {check.name}"
-              + (f"  ({check.detail})" if check.detail else ""))
-    if not all(check.passed for check in svc_checks):
-        ctx.record(CellStatus.DEGRADED)
-    print()
+    for label, selfcheck in (
+        ("profiler", profiler_selfcheck),
+        ("scheduler", scheduler_selfcheck),
+        ("service", service_selfcheck),
+    ):
+        checks = selfcheck()
+        for check in checks:
+            _print_check(label, check)
+        if not all(check.passed for check in checks):
+            ctx.record(CellStatus.DEGRADED)
+        print()
     print(ctx.telemetry_summary())
 
 
 def _cmd_selfcheck() -> None:
     from .hw.extensions import frontier, jlse_a100
     from .hw.selfcheck import self_check
-    from .hw.systems import all_systems
 
     ok = total = 0
     for system in all_systems() + [frontier(), jlse_a100()]:
         for check in self_check(system):
             total += 1
             ok += check.passed
-            mark = "ok " if check.passed else "FAIL"
-            print(f"[{mark}] {system.name:12s} {check.name}"
-                  + (f"  ({check.detail})" if check.detail else ""))
+            _print_check(system.name, check)
     print(f"\n{ok}/{total} checks pass")
 
 
@@ -508,23 +461,17 @@ def _cmd_top500() -> None:
         )
 
 
-# Commands that honour --inject take the execution context; the rest are
-# zero-arg and run exactly as before.
-_CTX_COMMANDS = {
-    "table2": lambda ctx: print(table_ii(ctx=ctx).render()),
-    "table3": lambda ctx: print(table_iii(ctx=ctx).render()),
-    "table6": lambda ctx: print(table_vi(ctx=ctx).render()),
-    "report": lambda ctx: print(full_report(ctx)),
+# Report commands.  Those taking the fault flags get the execution
+# context and the parsed args; the rest take no arguments and run clean.
+_FAULTED = {
+    "table2": lambda ctx, args: print(table_ii(ctx=ctx).render()),
+    "table3": lambda ctx, args: print(table_iii(ctx=ctx).render()),
+    "table6": lambda ctx, args: print(table_vi(ctx=ctx).render()),
+    "report": lambda ctx, args: print(full_report(ctx)),
     "health": _cmd_health,
 }
 
-# Commands that additionally need the parsed args (telemetry runs).
-_TELEMETRY_COMMANDS = {
-    "trace": _cmd_trace,
-    "metrics": _cmd_metrics,
-}
-
-_COMMANDS = {
+_CLEAN = {
     "table1": lambda: print(table_i()),
     "table4": lambda: print(table_iv().render()),
     "table5": lambda: print(table_v()),
@@ -542,350 +489,448 @@ _COMMANDS = {
     "scaling": _cmd_scaling,
 }
 
+#: Commands whose output is the telemetry session itself.
+_TRACED = ("health", "metrics", "trace")
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="pvc-bench",
-        description="Regenerate the paper's tables and figures on the "
-        "simulated substrate.",
+
+def _session(args, profile: bool = False):
+    """The telemetry session a report needs, or None if nothing reads it."""
+    if args.command in _TRACED or profile or args.manifest is not None:
+        from .telemetry import Telemetry
+
+        return Telemetry(profile=profile)
+    return None
+
+
+def _finish(ctx: ExecutionContext, args) -> int:
+    """Write the ``--manifest`` rider; the run's exit code."""
+    if args.manifest is not None:
+        from .telemetry.manifest import write_manifest
+
+        write_manifest(args.manifest, ctx.manifest(args.command))
+        print(f"manifest written to {args.manifest}", file=sys.stderr)
+    return ctx.exit_code()
+
+
+def _run_clean(args) -> int:
+    ctx = ExecutionContext(telemetry=_session(args))
+    args.body()
+    return _finish(ctx, args)
+
+
+def _run_faulted(args) -> int:
+    ctx = ExecutionContext(
+        args.inject, args.seed, telemetry=_session(args, args.profile)
     )
-    parser.add_argument(
-        "command",
-        choices=sorted(_COMMANDS)
-        + sorted(_CTX_COMMANDS)
-        + sorted(_TELEMETRY_COMMANDS)
-        + ["campaign", "loadgen", "obs", "profile", "serve-bench",
-           "service", "sweep", "trend"],
-    )
-    parser.add_argument(
-        "bench",
-        nargs="?",
-        default="gemm",
-        help="benchmark for trace/metrics/profile "
-        f"({', '.join(_TELEMETRY_BENCHES)}; default: gemm; profile also "
-        "accepts 'smoke', 'full' — the campaign wall-clock/sim-cache "
-        "benchmark matrix — 'service' — the daemon storm benchmark — "
-        "and 'sweep' — the design-space throughput gate), the campaign "
-        "action (run, resume, status, verify, watch), the obs action "
-        "(export, serve), the service action (watch), the sweep spec "
-        "name or JSON file for 'sweep', or the first baseline file for "
-        "trend",
-    )
-    parser.add_argument(
-        "extra",
-        nargs="*",
-        default=[],
-        help="trailing positionals: the run directory for "
-        "'campaign watch' / 'obs export' / 'obs serve', or further "
-        "baseline files for 'trend'",
-    )
-    parser.add_argument(
+    args.body(ctx, args)
+    return _finish(ctx, args)
+
+
+def _lazy(module: str, name: str):
+    """A handler that imports ``repro.<module>`` only when its command
+    runs, so building the parser loads no service/sweep/profiler code."""
+
+    def run(args) -> int:
+        from importlib import import_module
+
+        return getattr(import_module(f"{__package__}.{module}"), name)(args)
+
+    return run
+
+
+def _bounded(kind, below=None):
+    """``type=`` for a *kind* value that must be > 0 (and < *below*)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if value <= 0 or (below is not None and value >= below):
+            rule = "> 0" if below is None else f"in (0, {below})"
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # "invalid int value: 'x'"
+    return parse
+
+
+def _add_fault_flags(sub, scenarios=SCENARIO_NAMES, profile: bool = True):
+    sub.add_argument(
         "--inject",
         metavar="SCENARIO",
-        default=None,
-        help="inject a deterministic fault scenario "
-        f"({', '.join(SCENARIO_NAMES)}; campaign run also accepts "
-        f"{', '.join(CAMPAIGN_SCENARIO_NAMES)} and the process-level "
-        f"{', '.join(WORKER_SCENARIO_NAMES)})",
+        help="inject a deterministic fault scenario: " + ", ".join(scenarios),
     )
-    parser.add_argument(
+    sub.add_argument(
         "--seed",
         type=int,
         default=0,
-        help="seed for the fault schedule (default: 0)",
+        help="seed for the fault schedule (default: %(default)s)",
     )
-    parser.add_argument(
-        "--system",
-        default="aurora",
-        help="system for trace/metrics runs (default: aurora)",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="PATH",
-        default=None,
-        help="write the Perfetto trace JSON here instead of stdout",
-    )
-    parser.add_argument(
+    if profile:
+        sub.add_argument(
+            "--profile",
+            action="store_true",
+            help="attach the API profiler; the manifest or campaign "
+            "results gain a profile digest",
+        )
+
+
+def _add_manifest_flag(sub) -> None:
+    sub.add_argument(
         "--manifest",
         metavar="PATH",
-        default=None,
         help="also write a run manifest (config + metrics + provenance)",
     )
-    parser.add_argument(
-        "--dir",
-        metavar="DIR",
-        default=None,
-        help="campaign directory (journal, result store, artifacts)",
+
+
+def _add_bench_args(sub, help_text: str) -> None:
+    sub.add_argument("bench", nargs="?", default="gemm", help=help_text)
+    sub.add_argument(
+        "--system", default="aurora", help="system to run on (default: "
+        "%(default)s)"
     )
-    parser.add_argument(
+
+
+def _add_follow_flags(sub) -> None:
+    sub.add_argument(
+        "--once",
+        action="store_true",
+        help="render one snapshot and exit instead of following",
+    )
+    sub.add_argument(
+        "--interval",
+        type=_bounded(float),
+        default=0.5,
+        metavar="SECONDS",
+        help="poll interval (default: %(default)s)",
+    )
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one stderr line and exit 2, like every other
+    ``pvc-bench`` diagnosis."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message} (see --help)\n")
+
+
+def _actions(commands, name: str, help_text: str):
+    return commands.add_parser(name, help=help_text).add_subparsers(
+        dest="action", required=True, metavar="ACTION"
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``pvc-bench`` parser: one subparser per command (and per
+    campaign/obs/service action), each declaring only what it reads."""
+    parser = _Parser(
+        prog="pvc-bench",
+        description="Regenerate the paper's tables and figures on the "
+        "simulated substrate.  'pvc-bench <command> --help' lists a "
+        "command's flags.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def report(name, body, faulted=True):
+        sub = commands.add_parser(name)
+        if faulted:
+            _add_fault_flags(sub)
+        _add_manifest_flag(sub)
+        sub.set_defaults(run=_run_faulted if faulted else _run_clean, body=body)
+        return sub
+
+    for name, body in _CLEAN.items():
+        report(name, body, faulted=False)
+    for name, body in _FAULTED.items():
+        report(name, body)
+    benches = "benchmark: gemm, triad or p2p (default: %(default)s)"
+    trace = report("trace", _cmd_trace)
+    _add_bench_args(trace, benches)
+    trace.add_argument(
+        "--out",
+        metavar="PATH",
+        help="write the Perfetto trace JSON here instead of stdout",
+    )
+    _add_bench_args(report("metrics", _cmd_metrics), benches)
+
+    profile = commands.add_parser(
+        "profile", help="iprof-style profiles and perf-regression gates"
+    )
+    _add_bench_args(
+        profile,
+        f"{benches}; or a set: smoke, full (smoke + the campaign "
+        "wall-clock/sim-cache matrix), service (daemon storm) or sweep "
+        "(design-space throughput)",
+    )
+    _add_fault_flags(profile, profile=False)
+    _add_manifest_flag(profile)
+    profile.add_argument(
+        "--out", metavar="PATH", help="write the raw profile documents here"
+    )
+    profile.add_argument(
+        "--baseline",
+        metavar="PATH",
+        help="compare against this baseline snapshot; a regression "
+        "beyond tolerance exits non-zero",
+    )
+    profile.add_argument(
+        "--write-baseline",
+        metavar="PATH",
+        help="write the run's snapshot as a new baseline",
+    )
+    profile.add_argument(
+        "--flamegraph",
+        metavar="PATH",
+        help="export a deterministic collapsed-stack file "
+        "(flamegraph.pl / speedscope input)",
+    )
+    profile.set_defaults(run=_cmd_profile)
+
+    campaign = _actions(
+        commands, "campaign", "crash-safe journalled campaigns"
+    )
+    campaign_main = _lazy("campaign.orchestrator", "campaign_main")
+    run = campaign.add_parser("run", help="start a campaign")
+    resume = campaign.add_parser("resume", help="finish an interrupted run")
+    status = campaign.add_parser("status", help="per-unit progress")
+    verify = campaign.add_parser("verify", help="prove journal/store integrity")
+    for sub in (run, resume, status, verify):
+        sub.add_argument(
+            "--dir",
+            required=True,
+            help="campaign directory (journal, result store, artifacts)",
+        )
+        sub.set_defaults(run=campaign_main)
+    run.add_argument(
         "--spec",
         default="paper",
         choices=sorted(SPEC_NAMES),
-        help="campaign spec for 'campaign run' (default: paper)",
+        help="campaign spec (default: %(default)s)",
     )
-    parser.add_argument(
-        "--unit-timeout",
-        type=float,
+    _add_fault_flags(
+        run, SCENARIO_NAMES + CAMPAIGN_SCENARIO_NAMES + WORKER_SCENARIO_NAMES
+    )
+    for sub in (run, resume):
+        sub.add_argument(
+            "--unit-timeout",
+            type=float,
+            metavar="SECONDS",
+            help="per-unit simulated-clock watchdog: units that consume "
+            "more simulated seconds are demoted to FAILED",
+        )
+        sub.add_argument(
+            "--deadline",
+            type=float,
+            metavar="SECONDS",
+            help="campaign deadline on the simulated clock: scheduling "
+            "stops once exceeded and the run exits resumable (code 3)",
+        )
+        sub.add_argument(
+            "--jobs",
+            type=int,
+            metavar="N",
+            help="execute independent units on N worker processes "
+            "(artifacts stay byte-identical to a serial run); defaults "
+            "to $CAMPAIGN_JOBS, else 1 (serial)",
+        )
+        sub.add_argument(
+            "--max-respawns",
+            type=int,
+            metavar="N",
+            help="with --jobs > 1: worker respawn budget before the "
+            "scheduler degrades to in-process draining (default: 8)",
+        )
+        sub.add_argument(
+            "--hang-timeout",
+            type=float,
+            metavar="SECONDS",
+            help="with --jobs > 1: SIGKILL a worker whose unit produces "
+            "no heartbeat for this long and treat it as a crash "
+            "(default: disabled, except under --inject worker-hang)",
+        )
+    watch = campaign.add_parser("watch", help="live status board")
+    watch.add_argument("rundir", help="campaign run directory")
+    _add_follow_flags(watch)
+    watch.set_defaults(run=_lazy("obs.watch", "watch_main"))
+
+    obs = _actions(commands, "obs", "exporters over a run directory")
+    export = obs.add_parser("export", help="Perfetto/Chrome trace JSON")
+    export.add_argument("rundir", help="campaign, service or sweep directory")
+    export.add_argument(
+        "--out", metavar="PATH", help="write the trace here instead of stdout"
+    )
+    export.set_defaults(run=_lazy("obs.export", "export_main"))
+    serve = obs.add_parser("serve", help="OpenMetrics scrape endpoint")
+    serve.add_argument("rundir", help="campaign run directory")
+    serve.add_argument(
+        "--port",
+        type=int,
+        default=0,
+        help="TCP port to bind (default: %(default)s, ephemeral)",
+    )
+    serve.set_defaults(run=_lazy("obs.serve", "serve_main"))
+
+    service = _actions(commands, "service", "benchmark-service boards")
+    board = service.add_parser("watch", help="live or offline service board")
+    source = board.add_mutually_exclusive_group(required=True)
+    source.add_argument(
+        "state", nargs="?", help="fold this state directory offline"
+    )
+    source.add_argument(
+        "--port",
+        type=_bounded(int),
+        help="scrape the live daemon's /board on this port",
+    )
+    board.add_argument(
+        "--host", default="127.0.0.1", help="daemon host (default: "
+        "%(default)s)"
+    )
+    _add_follow_flags(board)
+    board.set_defaults(run=_lazy("obs.watch", "service_watch_main"))
+
+    daemon = commands.add_parser(
+        "serve-bench", help="the benchmark service daemon (SIGTERM drains)"
+    )
+    daemon.add_argument(
+        "--dir", required=True, help="state directory (journal, results)"
+    )
+    daemon.add_argument(
+        "--port",
+        type=int,
+        default=0,
+        help="TCP port to bind (default: %(default)s, ephemeral)",
+    )
+    daemon.add_argument(
+        "--workers",
+        type=_bounded(int),
+        default=4,
+        metavar="N",
+        help="executor threads pulling from the admission queue "
+        "(default: %(default)s)",
+    )
+    daemon.add_argument(
+        "--slo-latency",
+        type=_bounded(float),
+        default=5.0,
         metavar="SECONDS",
-        default=None,
-        help="per-unit simulated-clock watchdog: units that consume more "
-        "simulated seconds are demoted to FAILED",
+        help="SLO latency objective: a request slower than this counts "
+        "against availability (default: %(default)s)",
     )
-    parser.add_argument(
+    daemon.add_argument(
+        "--slo-availability",
+        type=_bounded(float, below=1),
+        default=0.99,
+        metavar="FRACTION",
+        help="SLO availability objective in (0, 1) (default: %(default)s)",
+    )
+    daemon.set_defaults(run=_lazy("service.daemon", "serve_bench_main"))
+
+    loadgen = commands.add_parser(
+        "loadgen", help="fire a request population at a running daemon"
+    )
+    loadgen.add_argument(
+        "--port", type=_bounded(int), required=True, help="daemon port"
+    )
+    loadgen.add_argument(
+        "--host", default="127.0.0.1", help="daemon host (default: "
+        "%(default)s)"
+    )
+    for flag, default, help_text in (
+        ("--requests", 200, "total requests to fire"),
+        ("--concurrency", 16, "concurrent client connections"),
+        ("--distinct", 1, "distinct request bodies (1 = maximal cache "
+         "pressure)"),
+        ("--tenants", 4, "tenants to spread the population over"),
+    ):
+        loadgen.add_argument(
+            flag,
+            type=_bounded(int),
+            default=default,
+            metavar="N",
+            help=f"{help_text} (default: %(default)s)",
+        )
+    loadgen.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the request population (default: %(default)s)",
+    )
+    loadgen.add_argument(
         "--deadline",
         type=float,
         metavar="SECONDS",
-        default=None,
-        help="campaign deadline on the simulated clock: scheduling stops "
-        "once exceeded and the run exits resumable (code 3)",
+        help="per-request deadline_s: the daemon expires a request still "
+        "queued after this long (default: none)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        default=None,
-        help="campaign run/resume: execute independent units on N worker "
-        "processes (artifacts stay byte-identical to a serial run); "
-        "defaults to $CAMPAIGN_JOBS, else 1 (serial); sweep: shard "
-        "evaluation chunks across N fork workers",
+    loadgen.set_defaults(run=_lazy("service.loadgen", "loadgen_main"))
+
+    sweep = commands.add_parser(
+        "sweep", help="design-space sweep through the batch engine"
     )
-    parser.add_argument(
-        "--max-respawns",
-        type=int,
-        metavar="N",
-        default=None,
-        help="campaign run/resume with --jobs > 1: worker respawn budget "
-        "before the scheduler degrades to in-process draining "
-        "(default: 8)",
+    sweep.add_argument(
+        "spec", help="builtin sweep spec name (e.g. smoke, ci, million) "
+        "or a JSON spec file"
     )
-    parser.add_argument(
-        "--hang-timeout",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="campaign run/resume with --jobs > 1: SIGKILL a worker whose "
-        "unit produces no heartbeat for this long and treat it as a "
-        "crash (default: disabled, except under --inject worker-hang)",
+    sweep.add_argument(
+        "--dir", help="write sweep.json and topk.ndjson (+ results.ndjson)"
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="attach the API profiler to this run; manifests and campaign "
-        "results gain a profile digest",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="profile: compare against this baseline snapshot; a "
-        "regression beyond tolerance exits non-zero",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        default=None,
-        help="profile: write the run's snapshot as a new baseline",
-    )
-    parser.add_argument(
-        "--flamegraph",
-        metavar="PATH",
-        default=None,
-        help="profile: export a deterministic collapsed-stack file "
-        "(flamegraph.pl / speedscope input)",
-    )
-    parser.add_argument(
+    sweep.add_argument(
         "--top-k",
         type=int,
+        default=16,
         metavar="N",
-        default=None,
-        help="sweep: result rows to keep and rank (default: 16)",
+        help="result rows to keep and rank (default: %(default)s)",
     )
-    parser.add_argument(
+    sweep.add_argument(
         "--chunk",
         type=int,
+        default=262_144,
         metavar="POINTS",
-        default=None,
-        help="sweep: points per evaluation chunk — bounds memory and "
-        "sets the sharding granularity (default: 262144)",
+        help="points per evaluation chunk: bounds memory and sets the "
+        "sharding granularity (default: %(default)s)",
     )
-    parser.add_argument(
+    sweep.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="shard evaluation chunks across N fork workers (default: "
+        "%(default)s)",
+    )
+    sweep.add_argument(
         "--ndjson",
         action="store_true",
-        help="sweep: also write every evaluated point to results.ndjson "
-        "(one JSON object per line)",
+        help="also write every evaluated point to results.ndjson",
     )
-    parser.add_argument(
+    sweep.add_argument(
         "--verify",
         type=int,
+        default=64,
         metavar="N",
-        default=None,
-        help="sweep: sampled points re-evaluated through the scalar "
-        "golden reference, which must agree bit for bit (default: 64; "
+        help="sampled points re-evaluated through the scalar golden "
+        "reference, which must agree bit for bit (default: %(default)s; "
         "0 disables)",
     )
-    parser.add_argument(
-        "--once",
-        action="store_true",
-        help="campaign watch: render one snapshot and exit instead of "
-        "following the run",
-    )
-    parser.add_argument(
-        "--interval",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="campaign watch: poll interval (default: 0.5)",
-    )
-    parser.add_argument(
-        "--port",
-        type=int,
-        metavar="N",
-        default=None,
-        help="obs serve / serve-bench: TCP port to bind (default: "
-        "ephemeral); loadgen: the daemon port to target (required)",
-    )
-    parser.add_argument(
-        "--host",
-        default=None,
-        metavar="HOST",
-        help="loadgen: daemon host to target (default: 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        default=None,
-        help="serve-bench: executor threads pulling from the admission "
-        "queue (default: 4)",
-    )
-    parser.add_argument(
-        "--requests",
-        type=int,
-        metavar="N",
-        default=None,
-        help="loadgen: total requests to fire (default: 200)",
-    )
-    parser.add_argument(
-        "--concurrency",
-        type=int,
-        metavar="N",
-        default=None,
-        help="loadgen: concurrent client connections (default: 16)",
-    )
-    parser.add_argument(
-        "--distinct",
-        type=int,
-        metavar="N",
-        default=None,
-        help="loadgen: distinct request bodies in the population "
-        "(default: 1 — maximal cache pressure)",
-    )
-    parser.add_argument(
-        "--tenants",
-        type=int,
-        metavar="N",
-        default=None,
-        help="loadgen: tenants to spread the request population over "
-        "(default: 4)",
-    )
-    parser.add_argument(
-        "--slo-latency",
-        type=float,
-        metavar="SECONDS",
-        default=None,
-        help="serve-bench: SLO latency objective — a request slower than "
-        "this counts against availability (default: 5.0)",
-    )
-    parser.add_argument(
-        "--slo-availability",
-        type=float,
-        metavar="FRACTION",
-        default=None,
-        help="serve-bench: SLO availability objective in (0, 1] "
-        "(default: 0.99)",
-    )
-    args = parser.parse_args(argv)
-    needs_telemetry = (
-        args.command in _TELEMETRY_COMMANDS
-        or args.command == "health"
-        or args.manifest is not None
-        or args.profile
-    )
-    if needs_telemetry:
-        from .telemetry import Telemetry
+    sweep.set_defaults(run=_lazy("sweep.runner", "sweep_main"))
 
-        telemetry = Telemetry(profile=args.profile)
-    else:
-        telemetry = None
+    trend = commands.add_parser(
+        "trend", help="cross-run analytics over baseline snapshots"
+    )
+    trend.add_argument(
+        "paths", nargs="+", metavar="BASELINE", help="oldest first"
+    )
+    trend.set_defaults(run=_lazy("obs.trend", "trend_main"))
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "profile":
-            return _cmd_profile(args)
-        if args.command == "campaign":
-            from .campaign.orchestrator import campaign_main
-
-            return campaign_main(args)
-        if args.command == "serve-bench":
-            from .service.daemon import serve_bench_main
-
-            return serve_bench_main(args)
-        if args.command == "loadgen":
-            from .service.loadgen import loadgen_main
-
-            return loadgen_main(args)
-        if args.command == "obs":
-            from .errors import CampaignError
-            from .obs.export import export_main
-            from .obs.serve import serve_main
-
-            if args.bench == "export":
-                return export_main(args)
-            if args.bench == "serve":
-                return serve_main(args)
-            raise CampaignError(
-                f"unknown obs action {args.bench!r}; "
-                "choose from: export, serve"
-            )
-        if args.command == "service":
-            from .errors import CampaignError
-            from .obs.watch import service_watch_main
-
-            if args.bench == "watch":
-                return service_watch_main(args)
-            raise CampaignError(
-                f"unknown service action {args.bench!r}; choose from: watch"
-            )
-        if args.command == "sweep":
-            from .sweep.runner import sweep_main
-
-            return sweep_main(args)
-        if args.command == "trend":
-            from .obs.trend import trend_main
-
-            return trend_main(args)
-        ctx = ExecutionContext(args.inject, args.seed, telemetry=telemetry)
-        if args.command in _TELEMETRY_COMMANDS:
-            _TELEMETRY_COMMANDS[args.command](ctx, args)
-        elif args.command in _CTX_COMMANDS:
-            _CTX_COMMANDS[args.command](ctx)
-        else:
-            if ctx.active:
-                print(
-                    f"pvc-bench: note: {args.command} ignores --inject",
-                    file=sys.stderr,
-                )
-            _COMMANDS[args.command]()
-        if args.manifest is not None:
-            from .telemetry.manifest import write_manifest
-
-            write_manifest(args.manifest, ctx.manifest(args.command))
-            print(f"manifest written to {args.manifest}", file=sys.stderr)
+        return args.run(args)
     except KeyboardInterrupt:
         print("pvc-bench: interrupted (resumable state flushed)", file=sys.stderr)
         return int(ExitCode.INTERRUPTED)
     except ReproError as exc:
         print(f"pvc-bench: {type(exc).__name__}: {exc}", file=sys.stderr)
         return int(classify_error(exc))
-    return ctx.exit_code()
 
 
 if __name__ == "__main__":  # pragma: no cover

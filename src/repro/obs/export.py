@@ -428,16 +428,10 @@ def run_registry(rundir: str | os.PathLike) -> MetricsRegistry:
 
 def export_main(args) -> int:
     """Dispatch ``pvc-bench obs export <rundir> [--out trace.json]``."""
-    rundir = args.dir or (args.extra[0] if getattr(args, "extra", None) else None)
-    if not rundir:
-        raise CampaignError(
-            "obs export needs a run directory "
-            "(positional or --dir <directory>)"
-        )
-    text = export_json(rundir)
+    text = export_json(args.rundir)
     if args.out:
         atomic_write_text(args.out, text + "\n")
-        n = len(export_chrome(rundir)["traceEvents"])
+        n = len(export_chrome(args.rundir)["traceEvents"])
         print(f"wrote {n} trace event(s) to {args.out}", file=sys.stderr)
     else:
         print(text)

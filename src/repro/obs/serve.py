@@ -115,15 +115,10 @@ class ObsServer(GracefulHTTPServer):
 
 def serve_main(args) -> int:
     """Dispatch ``pvc-bench obs serve <rundir> [--port N]``."""
-    rundir = args.dir or (args.extra[0] if getattr(args, "extra", None) else None)
-    if not rundir:
-        raise CampaignError(
-            "obs serve needs a run directory "
-            "(positional or --dir <directory>)"
-        )
+    rundir = args.rundir
     if not os.path.isdir(rundir):
         raise CampaignError(f"{rundir} is not a directory")
-    server = ObsServer(rundir, port=getattr(args, "port", None) or 0)
+    server = ObsServer(rundir, port=args.port)
     stop = threading.Event()
 
     def handler(signum, frame):  # pragma: no cover - signal timing

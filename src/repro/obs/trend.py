@@ -219,9 +219,5 @@ def trend_report(paths: list[str]) -> str:
 
 def trend_main(args) -> int:
     """Dispatch ``pvc-bench trend BENCH_0.json BENCH_1.json [...]``."""
-    paths: list[str] = []
-    if getattr(args, "bench", None):
-        paths.append(args.bench)
-    paths.extend(getattr(args, "extra", None) or [])
-    print(trend_report(paths), end="")
+    print(trend_report(args.paths), end="")
     return 0

@@ -369,18 +369,8 @@ def follow(
 
 def watch_main(args) -> int:
     """Dispatch ``pvc-bench campaign watch <rundir>``."""
-    rundir = args.dir or (args.extra[0] if getattr(args, "extra", None) else None)
-    if not rundir:
-        raise CampaignError(
-            "campaign watch needs a run directory "
-            "(positional or --dir <directory>)"
-        )
     try:
-        return follow(
-            rundir,
-            interval_s=getattr(args, "interval", None) or 0.5,
-            once=bool(getattr(args, "once", False)),
-        )
+        return follow(args.rundir, interval_s=args.interval, once=args.once)
     except KeyboardInterrupt:  # pragma: no cover - interactive detach
         print("detached; the campaign keeps running", file=sys.stderr)
         return 0
@@ -655,34 +645,22 @@ def follow_service(
 
 
 def service_watch_main(args) -> int:
-    """Dispatch ``pvc-bench service watch [--port N | --dir state]``.
+    """Dispatch ``pvc-bench service watch <state> | --port N``.
 
     With ``--port`` the board is scraped from the live daemon's
-    ``GET /board``; with ``--dir`` it is folded offline from the state
-    directory's streams (works on a dead or post-mortem directory).
+    ``GET /board``; with a state directory it is folded offline from
+    the directory's streams (works on a dead or post-mortem directory).
     """
-    port = getattr(args, "port", None)
-    directory = args.dir or (
-        args.extra[0] if getattr(args, "extra", None) else None
-    )
-    if port:
-        host = getattr(args, "host", None) or "127.0.0.1"
+    host, port, directory = args.host, args.port, args.state
+    if port is not None:
         label = f"http://{host}:{port}"
         source = lambda: _scrape_board(host, port)  # noqa: E731
-    elif directory:
+    else:
         label = os.fspath(directory)
         source = lambda: load_service_board(directory)  # noqa: E731
-    else:
-        raise CampaignError(
-            "service watch needs --port <daemon port> or "
-            "--dir <state directory>"
-        )
     try:
         return follow_service(
-            source,
-            label,
-            interval_s=getattr(args, "interval", None) or 0.5,
-            once=bool(getattr(args, "once", False)),
+            source, label, interval_s=args.interval, once=args.once
         )
     except KeyboardInterrupt:  # pragma: no cover - interactive detach
         print("detached; the service keeps running", file=sys.stderr)

@@ -1035,16 +1035,10 @@ class BenchDaemon:
 
 def serve_bench_main(args) -> int:
     """Dispatch ``pvc-bench serve-bench --dir state [--port N] ...``."""
-    if not args.dir:
-        raise CampaignError("serve-bench needs --dir <state directory>")
     slo = SLOConfig(
-        latency_s=getattr(args, "slo_latency", None) or 5.0,
-        availability=getattr(args, "slo_availability", None) or 0.99,
+        latency_s=args.slo_latency, availability=args.slo_availability
     )
     daemon = BenchDaemon(
-        args.dir,
-        port=getattr(args, "port", None) or 0,
-        workers=getattr(args, "workers", None) or DEFAULT_WORKERS,
-        slo=slo,
+        args.dir, port=args.port, workers=args.workers, slo=slo
     )
     return daemon.serve()

@@ -357,18 +357,15 @@ def service_benchmark_entries(
 
 def loadgen_main(args) -> int:
     """Dispatch ``pvc-bench loadgen --port N [--requests R] ...``."""
-    port = getattr(args, "port", None)
-    if not port:
-        raise CampaignError("loadgen needs --port <daemon port>")
     report = run_loadgen(
-        getattr(args, "host", None) or "127.0.0.1",
-        port,
-        requests=getattr(args, "requests", None) or DEFAULT_REQUESTS,
-        concurrency=getattr(args, "concurrency", None) or DEFAULT_CONCURRENCY,
-        tenants=getattr(args, "tenants", None) or DEFAULT_TENANTS,
-        distinct=getattr(args, "distinct", None) or 1,
-        seed=getattr(args, "seed", None) or 0,
-        deadline_s=getattr(args, "deadline", None),
+        args.host,
+        args.port,
+        requests=args.requests,
+        concurrency=args.concurrency,
+        tenants=args.tenants,
+        distinct=args.distinct,
+        seed=args.seed,
+        deadline_s=args.deadline,
     )
     print(report.render())
     return 0 if not report.errors else 1

@@ -641,17 +641,14 @@ def render_summary(summary: dict, topk: list[dict]) -> str:
 
 def sweep_main(args) -> int:
     """Dispatch ``pvc-bench sweep <spec|spec.json> [--dir out] ...``."""
-    spec = load_sweep_spec(args.bench)
     outcome = run_sweep(
-        spec,
+        load_sweep_spec(args.spec),
         out_dir=args.dir,
-        top_k=args.top_k or 16,
-        chunk_points=args.chunk or DEFAULT_CHUNK_POINTS,
-        jobs=args.jobs or 1,
-        ndjson=bool(args.ndjson),
-        verify=(
-            args.verify if args.verify is not None else DEFAULT_VERIFY_SAMPLE
-        ),
+        top_k=args.top_k,
+        chunk_points=args.chunk,
+        jobs=args.jobs,
+        ndjson=args.ndjson,
+        verify=args.verify,
     )
     print(render_summary(outcome.summary, outcome.topk))
     if args.dir:

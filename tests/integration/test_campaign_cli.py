@@ -44,11 +44,16 @@ class TestCampaignRun:
         assert doc["config"]["systems"] == ["aurora", "dawn"]
 
     def test_run_without_dir_fails_unhealthy(self, capsys):
-        assert _run("campaign", "run") == 2
+        with pytest.raises(SystemExit) as exc:
+            _run("campaign", "run")
+        assert exc.value.code == 2
         assert "--dir" in capsys.readouterr().err
 
     def test_unknown_action_fails_unhealthy(self, tmp_path, capsys):
-        assert _run("campaign", "dance", "--dir", str(tmp_path)) == 2
+        with pytest.raises(SystemExit) as exc:
+            _run("campaign", "dance", "--dir", str(tmp_path))
+        assert exc.value.code == 2
+        assert "dance" in capsys.readouterr().err
 
     def test_unknown_scenario_fails_unhealthy(self, tmp_path, capsys):
         rc = _run(

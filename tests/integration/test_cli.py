@@ -1,8 +1,15 @@
 """CLI smoke tests (every subcommand)."""
 
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestCli:
@@ -116,7 +123,128 @@ class TestFaultInjectionCli:
         assert "verdict: DEGRADED" in out
         assert "fault history" in out
 
-    def test_inject_ignored_command_warns(self, capsys):
-        assert main(["table4", "--inject", "throttle"]) == 0
-        captured = capsys.readouterr()
-        assert "ignores --inject" in captured.err
+
+def _exit_code(argv):
+    """The process exit code: main's return value or its SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestFlagOwnership:
+    """Each command accepts only the flags its handler reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "table4 --inject throttle",
+            "table4 --top-k 3",
+            "sweep smoke --spec paper",
+            "campaign status --dir D --top-k 1",
+            "loadgen --port 1 --ndjson",
+        ],
+    )
+    def test_foreign_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        foreign = argv.split(" --")[-1].split()[0]  # the last flag
+        assert f"unrecognized arguments: --{foreign}" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "sweep smoke --top-k 0",
+            "sweep smoke --jobs 0",
+            "campaign watch RUN --interval 0",
+            "serve-bench --dir D --workers 0",
+            "loadgen --port 9 --concurrency 0",
+        ],
+    )
+    def test_explicit_zero_is_not_replaced_by_the_default(self, argv, capsys):
+        assert _exit_code(argv.split()) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["1", "0", "1.5"])
+    def test_slo_availability_outside_open_unit_interval(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-bench", "--dir", "D", "--slo-availability", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "(0, 1)" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_import_loads_no_service_sweep_or_profiler_code(self):
+        # Every pvc-bench process imports the CLI and builds its parser;
+        # the heavy subsystems load only when their command runs.
+        import repro
+
+        code = (
+            "import sys, repro.cli; repro.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('repro.service', 'repro.sweep', 'repro.profiler'))))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
+
+
+_ROOT = Path(__file__).resolve().parents[2]
+
+#: A line that starts a ``pvc-bench`` shell command, after an optional
+#: CI ``run:`` key, a ``!`` negation and environment assignments.
+_INVOCATION = re.compile(
+    r"^\s*(?:run:\s*)?(?:!\s*)?(?:[A-Z_]+=\S*\s+)*pvc-bench\s+(.*)$"
+)
+
+
+def _documented_invocations() -> dict[str, list[str]]:
+    """Every ``pvc-bench`` command line in the docs, the CLI docstring
+    and CI, reduced to its argv (comments, redirections, pipes, ``&``
+    and ``\\`` continuations stripped)."""
+    import repro.cli
+
+    texts = [repro.cli.__doc__]
+    for path in [
+        _ROOT / "README.md",
+        *sorted((_ROOT / "docs").glob("*.md")),
+        _ROOT / ".github" / "workflows" / "ci.yml",
+    ]:
+        texts.append(path.read_text())
+    found = {}
+    for text in texts:
+        for line in text.replace("\\\n", " ").splitlines():
+            match = _INVOCATION.match(line)
+            if match is None:
+                continue
+            cmd = re.split(r"\s#", match.group(1))[0]
+            cmd = re.sub(r"\s\d?>&?\s*[^\s|&;]+", "", cmd)
+            cmd = re.split(r"[|&;]", cmd)[0]
+            argv = shlex.split(cmd)
+            found[" ".join(argv)] = argv
+    return found
+
+
+_DOCUMENTED = _documented_invocations()
+
+
+class TestDocumentedInvocations:
+    def test_extraction_finds_the_documented_surface(self):
+        commands = {argv[0] for argv in _DOCUMENTED.values()}
+        assert len(_DOCUMENTED) > 80
+        assert {"campaign", "obs", "service", "serve-bench", "loadgen",
+                "sweep", "profile", "trend", "trace"} <= commands
+
+    @pytest.mark.parametrize("argv", list(_DOCUMENTED.values()),
+                             ids=list(_DOCUMENTED))
+    def test_parses(self, argv):
+        build_parser().parse_args(argv)

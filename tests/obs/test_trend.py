@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.obs.trend import kernel_deltas, trend_main, trend_report
+from repro.obs.trend import kernel_deltas, trend_report
 from repro.obs.trend import _campaign_lines, _sweep_lines
 from repro.profiler.baseline import build_snapshot, write_baseline
 
@@ -163,21 +164,14 @@ class TestTrendReport:
         assert "b0.json -> b1.json" in report
         assert "b1.json -> b2.json" in report
 
-    def test_trend_main_joins_bench_and_extra_positionals(
-        self, tmp_path, capsys
-    ):
+    def test_trend_main_reads_every_positional(self, tmp_path, capsys):
         base = self._write(
             tmp_path / "b0.json", [_bench_entry("gemm", "aurora", 100.0)]
         )
         cur = self._write(
             tmp_path / "b1.json", [_bench_entry("gemm", "aurora", 100.0)]
         )
-
-        class Args:
-            bench = base
-            extra = [cur]
-
-        assert trend_main(Args()) == 0
+        assert main(["trend", base, cur]) == 0
         out = capsys.readouterr().out
         assert "perf trend across 2 snapshot(s)" in out
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.campaign.orchestrator import Orchestrator
 from repro.campaign.spec import get_spec
+from repro.cli import main
 from repro.errors import CampaignError
 from repro.faults.process import build_worker_plan
 from repro.faults.scenarios import build_campaign_plan
@@ -178,18 +179,15 @@ class TestFollow:
         _run(tmp_path / "run", jobs=1)
 
         class Args:
-            dir = None
-            extra = [str(tmp_path / "run")]
+            rundir = str(tmp_path / "run")
             once = True
-            interval = None
+            interval = 0.5
 
         assert watch_main(Args()) == 0
         assert "COMPLETE" in capsys.readouterr().out
 
-    def test_watch_main_requires_a_rundir(self):
-        class Args:
-            dir = None
-            extra = []
-
-        with pytest.raises(CampaignError):
-            watch_main(Args())
+    def test_watch_main_requires_a_rundir(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "watch", "--once"])
+        assert exc.value.code == 2
+        assert "rundir" in capsys.readouterr().err
