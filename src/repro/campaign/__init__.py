@@ -12,16 +12,18 @@ benchmark units.  The subsystem has four layers:
   heal-on-append recovery;
 * :mod:`repro.campaign.store` — the integrity-verified result store:
   one JSON payload per completed unit, digest-bound to the journal;
-* :mod:`repro.campaign.scheduler` — the ``--jobs N`` multi-process DAG
-  scheduler: opportunistic execution across a worker pool, commits
-  strictly in topological order;
+* :mod:`repro.campaign.scheduler` — the DAG scheduler, the only
+  producer of unit outcomes: in-process at ``--jobs 1``, opportunistic
+  execution across a worker pool at ``--jobs N``, outcomes strictly in
+  topological order either way;
 * :mod:`repro.campaign.supervisor` — the self-healing layer under the
   scheduler: dead-worker detection and respawn (with a budget),
   poison-unit quarantine, heartbeat-based hang kills, and graceful
-  degradation to an in-process serial drain;
-* :mod:`repro.campaign.orchestrator` — commits units in topological
-  order under a supervisor (per-unit simulated-time watchdog, campaign
-  deadline, SIGINT/SIGTERM flush), journals every transition, and on
+  degradation to the in-process step;
+* :mod:`repro.campaign.orchestrator` — one commit loop for every
+  ``--jobs``: commits units in topological order under a supervisor
+  (per-unit simulated-time watchdog, campaign deadline, SIGINT/SIGTERM
+  flush), journals every transition, and on
   ``resume`` re-executes only incomplete or corrupted units.
 
 Determinism contract: a campaign interrupted after any unit and then

@@ -44,9 +44,9 @@ import os
 from ..errors import CampaignCorruptError
 from ..ioutils import (
     atomic_write_text,
-    canonical_json,
     fsync_append_text,
-    sha256_text,
+    record_intact,
+    seal_record,
 )
 
 __all__ = ["JournalRecord", "Journal"]
@@ -80,14 +80,10 @@ class JournalRecord(dict):
     @staticmethod
     def seal(payload: dict) -> "JournalRecord":
         """Attach the integrity checksum to *payload*."""
-        body = {k: v for k, v in payload.items() if k != "sha256"}
-        rec = JournalRecord(body)
-        rec["sha256"] = sha256_text(canonical_json(body))
-        return rec
+        return JournalRecord(seal_record(payload))
 
     def intact(self) -> bool:
-        body = {k: v for k, v in self.items() if k != "sha256"}
-        return self.get("sha256") == sha256_text(canonical_json(body))
+        return record_intact(self)
 
     def line(self) -> str:
         """The record's on-disk form: sorted JSON plus newline."""
@@ -126,7 +122,11 @@ class Journal:
         journal = cls(path)
         if not os.path.exists(journal.path):
             return journal
-        with open(journal.path, "r", encoding="utf-8", newline="") as fh:
+        # errors="replace": an undecodable byte fails the record's JSON
+        # parse or checksum and ends the trusted prefix like any tear.
+        with open(
+            journal.path, "r", encoding="utf-8", errors="replace", newline=""
+        ) as fh:
             text = fh.read()
         trusted_bytes = 0
         clean = True

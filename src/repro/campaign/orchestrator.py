@@ -3,9 +3,10 @@
 Execution protocol (``campaign run``):
 
 1. journal ``campaign-start`` (spec digest, scenario, seed, schedule);
-2. for each unit in topological order: journal ``unit-start``, execute,
-   persist the payload to the result store, journal ``unit-done`` with
-   the payload's SHA-256 digest (or ``unit-failed``);
+2. for each unit in topological order: journal ``unit-start``, pull its
+   outcome from the :class:`~.scheduler.DagScheduler`, persist the
+   payload to the result store, journal ``unit-done`` with the
+   payload's SHA-256 digest (or ``unit-failed``);
 3. supervisor checks between units: a SIGINT/SIGTERM flag or an
    exhausted campaign deadline journals an ``interrupted``/``deadline``
    record and exits with the resumable code 3; a per-unit watchdog on
@@ -24,15 +25,17 @@ exactly this machinery by killing the run after a seeded unit (and
 optionally tearing the journal's last record).  They apply to
 ``campaign run`` only; a resumed campaign does not re-crash.
 
-With ``--jobs N`` the units run under a supervised worker pool
-(:mod:`.supervisor`): dead workers respawn up to ``--max-respawns``, a
-unit that kills K consecutive workers is journalled as
-``unit-quarantined`` (with the worker exit codes as provenance) while
-the rest of the DAG continues, and an exhausted respawn budget degrades
-to an in-process serial drain instead of failing the run.  The
-``worker-kill`` / ``worker-hang`` / ``worker-poison`` / ``io-enospc``
-scenarios inject exactly those faults; like the crash scenarios they
-apply to the original ``campaign run`` only.
+One commit loop serves every ``--jobs``: at ``--jobs 1`` the scheduler
+executes each unit in-process when it is pulled; with ``--jobs N`` the
+units run under a supervised worker pool (:mod:`.supervisor`): dead
+workers respawn up to ``--max-respawns``, a unit that kills K
+consecutive workers is journalled as ``unit-quarantined`` (with the
+worker exit codes as provenance) while the rest of the DAG continues,
+and an exhausted respawn budget degrades to the in-process step instead
+of failing the run.  The ``worker-kill`` / ``worker-hang`` /
+``worker-poison`` / ``io-enospc`` scenarios inject exactly those
+faults; like the crash scenarios they apply to the original ``campaign
+run`` only.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import sys
 import threading
 
 from ..core.result import CellStatus
-from ..errors import CampaignCorruptError, CampaignError, ReproError
+from ..errors import CampaignCorruptError, CampaignError
 from ..exitcodes import ExitCode, status_exit_code
 from ..faults.process import (
     WORKER_SCENARIO_NAMES,
@@ -64,7 +67,6 @@ from .journal import Journal
 from .scheduler import DagScheduler, resolve_jobs
 from .spec import CampaignSpec, get_spec
 from .store import ResultStore
-from .units import apply_watchdog, execute_unit, failure_payload
 
 __all__ = ["Orchestrator", "campaign_main"]
 
@@ -379,7 +381,7 @@ class Orchestrator:
     def _pre_unit_exit(
         self, journal: Journal, unit, simulated_total: float
     ) -> ExitCode | None:
-        """The between-unit supervisor checks (shared serial/parallel)."""
+        """The between-unit supervisor checks."""
         if self._interrupted:
             journal.append("interrupted", before=unit.id)
             self.events.emit(
@@ -479,99 +481,12 @@ class Orchestrator:
         return True
 
     def _execute(self, journal: Journal, completed: dict[str, str]) -> ExitCode:
-        if self.jobs > 1:
-            return self._execute_parallel(journal, completed)
-        order = self.spec.execution_order()
-        simulated_total = sum(
-            self._payload(uid, digest).get("simulated_s", 0.0)
-            for uid, digest in completed.items()
-        )
-        self.events.live(
-            "run-live",
-            jobs=1,
-            pid=os.getpid(),
-            units=sum(1 for u in order if u.id not in completed),
-        )
-        with self._supervised():
-            for idx, unit in enumerate(order):
-                if unit.id in completed:
-                    continue
-                early = self._pre_unit_exit(journal, unit, simulated_total)
-                if early is not None:
-                    return early
-                journal.append("unit-start", unit=unit.id)
-                self.events.live(
-                    "unit-dispatched", unit=unit.id, index=0, attempt=1
-                )
-                try:
-                    deps = {d: self._payload(d) for d in unit.deps}
-                    payload = execute_unit(
-                        unit, self.scenario, self.seed, deps, self.profile
-                    )
-                except KeyboardInterrupt:
-                    journal.append("interrupted", during=unit.id)
-                    self.events.emit(
-                        "interrupted",
-                        sim_us=simulated_total * 1e6,
-                        before=unit.id,
-                    )
-                    _log(f"interrupted during {unit.id}; journal is resumable")
-                    return ExitCode.INTERRUPTED
-                except ReproError as exc:
-                    payload = failure_payload(unit, exc)
-                    digest = self.store.put(unit.id, payload)
-                    journal.append(
-                        "unit-failed",
-                        unit=unit.id,
-                        digest=digest,
-                        status=payload["status"],
-                        error=payload["error"],
-                    )
-                    completed[unit.id] = digest
-                    self._payloads[unit.id] = payload
-                    self._emit_unit_events(unit, payload, digest, simulated_total)
-                    self.events.live(
-                        "unit-completed", unit=unit.id, status=payload["status"]
-                    )
-                    _log(f"{unit.id}: FAILED ({payload['error']})")
-                    continue
-                watchdog = apply_watchdog(payload, self.unit_timeout_s)
-                digest = self.store.put(unit.id, payload)
-                extra = {"watchdog": watchdog} if watchdog else {}
-                journal.append(
-                    "unit-done",
-                    unit=unit.id,
-                    status=payload["status"],
-                    digest=digest,
-                    simulated_s=payload["simulated_s"],
-                    **extra,
-                )
-                completed[unit.id] = digest
-                self._payloads[unit.id] = payload
-                simulated_total += payload["simulated_s"]
-                self._emit_unit_events(unit, payload, digest, simulated_total)
-                self.events.live(
-                    "unit-completed", unit=unit.id, status=payload["status"]
-                )
-                _log(f"{unit.id}: {payload['status']}")
-                if self._injected_crash(journal, unit, idx):
-                    return ExitCode.INTERRUPTED
-        return self._finalize(journal, completed)
+        """The commit loop, for serial, parallel and degraded runs alike.
 
-    def _execute_parallel(
-        self, journal: Journal, completed: dict[str, str]
-    ) -> ExitCode:
-        """Commit loop for ``--jobs N``: same journal bytes, N workers.
-
-        The scheduler executes units opportunistically but yields their
-        outcomes in topological order, so this loop journals and stores
-        the exact record sequence the serial loop would.  The only
-        divergence is the moment of execution: ``unit-start`` is
-        journalled at *commit* time (the work may already have
-        happened), so an interrupt always lands *between* committed
-        units (``before=``) rather than inside one (``during=``) —
-        either way the journal is a serial-run prefix and resume
-        behaves identically.
+        The scheduler yields outcomes in topological order and, without
+        a pool, executes each unit only when it is pulled; so this loop
+        journals ``unit-start`` before every pull and an interrupt during
+        the pull lands inside that unit (``during=``) for any ``--jobs``.
         """
         order = self.spec.execution_order()
         simulated_total = sum(
@@ -603,11 +518,12 @@ class Orchestrator:
             traceparent=self.traceparent,
         )
         self._supervision = scheduler.stats
-        _log(
-            f"parallel execution: {len(scheduler.pending)} unit(s) across "
-            f"{min(self.jobs, len(scheduler.pending))} worker(s), "
-            f"{len(self.spec.waves())} wave(s)"
-        )
+        if self.jobs > 1:
+            _log(
+                f"parallel execution: {len(scheduler.pending)} unit(s) across "
+                f"{min(self.jobs, len(scheduler.pending))} worker(s), "
+                f"{len(self.spec.waves())} wave(s)"
+            )
         self.events.live(
             "run-live",
             jobs=self.jobs,
@@ -623,19 +539,22 @@ class Orchestrator:
                     early = self._pre_unit_exit(journal, unit, simulated_total)
                     if early is not None:
                         return early
+                    journal.append("unit-start", unit=unit.id)
                     try:
                         outcome = next(stream)
                     except KeyboardInterrupt:
-                        journal.append("interrupted", before=unit.id)
+                        journal.append("interrupted", during=unit.id)
                         self.events.emit(
                             "interrupted",
                             sim_us=simulated_total * 1e6,
                             before=unit.id,
                         )
-                        _log("interrupted; journal is resumable")
+                        _log(
+                            f"interrupted during {unit.id}; "
+                            "journal is resumable"
+                        )
                         return ExitCode.INTERRUPTED
                     payload = outcome.payload
-                    journal.append("unit-start", unit=unit.id)
                     digest = self.store.put(unit.id, payload)
                     if outcome.quarantined is not None:
                         journal.append(

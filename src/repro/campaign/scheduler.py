@@ -1,4 +1,4 @@
-"""Multi-process DAG scheduler for campaign units.
+"""The campaign DAG scheduler: the one producer of unit outcomes.
 
 The campaign spec is a DAG whose measuring units are mutually
 independent (a table cell on ``aurora`` never reads a cell from
@@ -18,17 +18,24 @@ is preserved by splitting *execution order* from *commit order*:
   which is what makes ``campaign resume`` indifferent to how the
   interrupted run was parallelised.
 
-Since PR 6 the pool is *supervised*
-(:class:`~repro.campaign.supervisor.WorkerSupervisor`): dead workers
-are reaped and respawned up to ``--max-respawns``, their in-flight
-units re-enqueued (unit execution is a pure function of identity, so a
-re-run reproduces the same bytes); hung workers are SIGKILLed after a
-heartbeat deadline; a unit that kills ``poison_crashes`` consecutive
-workers is quarantined instead of aborting the DAG; and when the
-respawn budget is spent the scheduler degrades to an in-process serial
-drain rather than failing the run.  A worker that ships a ``crashed``
-status — its unit raised an unexpected non-:class:`ReproError`
-exception — still aborts the campaign with
+:meth:`DagScheduler.outcomes` serves every execution mode through one
+commit-order loop.  With ``jobs == 1`` no pool exists: each unit
+executes in-process at the moment the orchestrator pulls it, so the
+orchestrator's between-unit checks (deadline, SIGINT, injected crash
+points) still fall *between* executions.  With ``jobs > 1`` the pool is
+*supervised* (:class:`~repro.campaign.supervisor.WorkerSupervisor`):
+dead workers are reaped and respawned up to ``--max-respawns``, their
+in-flight units re-enqueued (unit execution is a pure function of
+identity, so a re-run reproduces the same bytes); hung workers are
+SIGKILLed after a heartbeat deadline; a unit that kills
+``poison_crashes`` consecutive workers is quarantined instead of
+aborting the DAG; and when the respawn budget is spent the scheduler
+degrades to the same lazy in-process step a serial run uses.
+
+In-process, only a :class:`ReproError` becomes a FAILED outcome;
+``KeyboardInterrupt`` and any other exception propagate with their own
+type.  A worker that ships a ``crashed`` status — its unit raised an
+unexpected non-:class:`ReproError` exception — aborts the campaign with
 :class:`~repro.errors.WorkerCrashError`: the same bug would be fatal
 in-process, and respawning would only re-crash on the same code path.
 
@@ -44,8 +51,8 @@ still effectively single-threaded) and communicate over
 ``multiprocessing`` queues; results cross the pipe as plain dicts and
 pre-formatted error strings — exceptions never need to pickle.
 Process-level fault plans (:class:`~repro.faults.WorkerFaultPlan`) are
-applied *inside* the worker loop only, so the degraded-mode in-process
-drain can never SIGKILL the orchestrator.
+applied *inside* the worker loop only, so the in-process step can never
+SIGKILL the orchestrator.
 """
 
 from __future__ import annotations
@@ -183,7 +190,7 @@ def _worker_loop(
 
 
 class DagScheduler:
-    """Fans ready units to a supervised pool; yields outcomes in topo order."""
+    """Runs units in-process or on a supervised pool; yields topo order."""
 
     def __init__(
         self,
@@ -231,52 +238,36 @@ class DagScheduler:
     def outcomes(self):
         """Generator of :class:`UnitOutcome` in topological order.
 
-        Closing the generator (or letting an exception escape) tears
-        the pool down; workers are daemonic, so even an unclean parent
-        exit cannot leak them.
+        Without a pool (``jobs == 1``, or once a pool degrades) a unit
+        executes in-process only when it is pulled.  Closing the
+        generator (or letting an exception escape) tears any pool down;
+        workers are daemonic, so even an unclean parent exit cannot
+        leak them.
         """
-        if not self.pending:
-            return
         payloads = dict(self.preloaded)
-        supervisor = WorkerSupervisor(
-            min(self.jobs, len(self.pending)),
-            worker_body=_worker_loop,
-            worker_args=(
-                self.scenario,
-                self.seed,
-                self.profile,
-                self.worker_faults,
-                self.traceparent,
-            ),
-            max_respawns=self.max_respawns,
-            poison_crashes=self.poison_crashes,
-            hang_timeout_s=self.hang_timeout_s,
-            stats=self.stats,
-            events=self.events,
-            **({"log": self.log} if self.log is not None else {}),
-        )
-        supervisor.start()
-        submitted: set[str] = set()
         ready: dict[str, UnitOutcome] = {}
-        degraded = False
-
-        def run_inline(unit, deps) -> UnitOutcome:
-            # Degraded-mode drain: same semantics as a worker, in-process.
-            # Fault plans do not fire here — a poison unit must not take
-            # the orchestrator down with it.
-            try:
-                payload = execute_unit(
-                    unit, self.scenario, self.seed, deps, self.profile
-                )
-            except ReproError as exc:
-                error = format_error(exc)
-                return UnitOutcome(unit, failure_payload(unit, error), error=error)
-            except BaseException as exc:  # noqa: BLE001
-                raise WorkerCrashError(
-                    f"unit {unit.id!r} crashed in a worker: {format_error(exc)}"
-                ) from exc
-            note = apply_watchdog(payload, self.unit_timeout_s)
-            return UnitOutcome(unit, payload, watchdog=note)
+        submitted: set[str] = set()
+        pool = None
+        if self.jobs > 1 and self.pending:
+            pool = WorkerSupervisor(
+                min(self.jobs, len(self.pending)),
+                worker_body=_worker_loop,
+                worker_args=(
+                    self.scenario,
+                    self.seed,
+                    self.profile,
+                    self.worker_faults,
+                    self.traceparent,
+                ),
+                max_respawns=self.max_respawns,
+                poison_crashes=self.poison_crashes,
+                hang_timeout_s=self.hang_timeout_s,
+                stats=self.stats,
+                events=self.events,
+                **({"log": self.log} if self.log is not None else {}),
+            )
+            pool.start()
+        draining = pool is None
 
         def settle(outcome: UnitOutcome) -> None:
             ready[outcome.unit.id] = outcome
@@ -288,55 +279,78 @@ class DagScheduler:
                     continue
                 if all(d in payloads for d in unit.deps):
                     submitted.add(unit.id)
-                    deps = {d: payloads[d] for d in unit.deps}
-                    if degraded:
-                        settle(run_inline(unit, deps))
-                    else:
-                        supervisor.submit(unit, deps)
+                    pool.submit(unit, {d: payloads[d] for d in unit.deps})
 
         try:
-            submit_ready()
+            if pool is not None:
+                submit_ready()
             for unit in self.pending:
-                while unit.id not in ready:
-                    event = supervisor.next_event()
+                while not draining and unit.id not in ready:
+                    event = pool.next_event()
                     if event[0] == "degraded":
-                        degraded = True
-                        for taken_unit, taken_deps in supervisor.take_pending():
-                            settle(run_inline(taken_unit, taken_deps))
-                        submit_ready()
+                        draining = True
                         continue
-                    if event[0] == "quarantined":
-                        _, poisoned, codes = event
-                        payload = quarantine_payload(poisoned, codes)
-                        settle(
-                            UnitOutcome(
-                                poisoned,
-                                payload,
-                                error=payload["error"],
-                                quarantined=tuple(int(c) for c in codes),
-                            )
-                        )
-                        submit_ready()
-                        continue
-                    _, uid, status, data = event
-                    done = self.spec.unit(uid)
-                    if status == "ok":
-                        note = apply_watchdog(data, self.unit_timeout_s)
-                        settle(UnitOutcome(done, data, watchdog=note))
-                    elif status == "failed":
-                        settle(
-                            UnitOutcome(
-                                done, failure_payload(done, data), error=data
-                            )
-                        )
-                    else:
-                        raise WorkerCrashError(
-                            f"unit {uid!r} crashed in a worker: {data}"
-                        )
+                    settle(self._pool_outcome(event))
                     submit_ready()
+                if unit.id not in ready:
+                    settle(self._run_in_process(unit, payloads))
                 yield ready.pop(unit.id)
         finally:
-            supervisor.shutdown()
+            if pool is not None:
+                pool.shutdown()
+
+    def _pool_outcome(self, event: tuple) -> UnitOutcome:
+        """The outcome a supervisor result or quarantine event carries."""
+        if event[0] == "quarantined":
+            _, unit, codes = event
+            payload = quarantine_payload(unit, codes)
+            return UnitOutcome(
+                unit,
+                payload,
+                error=payload["error"],
+                quarantined=tuple(int(c) for c in codes),
+            )
+        _, uid, status, data = event
+        unit = self.spec.unit(uid)
+        if status == "ok":
+            return self._done(unit, data)
+        if status == "failed":
+            return UnitOutcome(unit, failure_payload(unit, data), error=data)
+        raise WorkerCrashError(f"unit {uid!r} crashed in a worker: {data}")
+
+    def _run_in_process(self, unit, payloads: dict) -> UnitOutcome:
+        """Execute *unit* in this process: the serial and degraded step.
+
+        Worker fault plans never fire here.  Only a :class:`ReproError`
+        becomes a FAILED outcome; anything else propagates unchanged.
+        """
+        if self.events is not None:
+            self.events.live(
+                "unit-dispatched", unit=unit.id, index=0, attempt=1
+            )
+        deps = {d: payloads[d] for d in unit.deps}
+        try:
+            payload = execute_unit(
+                unit, self.scenario, self.seed, deps, self.profile
+            )
+        except ReproError as exc:
+            error = format_error(exc)
+            outcome = UnitOutcome(
+                unit, failure_payload(unit, error), error=error
+            )
+        else:
+            outcome = self._done(unit, payload)
+        if self.events is not None:
+            self.events.live(
+                "unit-completed",
+                unit=unit.id,
+                status=outcome.payload["status"],
+            )
+        return outcome
+
+    def _done(self, unit, payload: dict) -> UnitOutcome:
+        note = apply_watchdog(payload, self.unit_timeout_s)
+        return UnitOutcome(unit, payload, watchdog=note)
 
 
 # ----------------------------------------------------------------------

@@ -271,12 +271,6 @@ class WorkerSupervisor:
         # commit order (and with it the journal bytes) is unaffected.
         self._pending.appendleft((unit, deps))
 
-    def take_pending(self) -> list:
-        """Hand un-dispatched units back (degraded-mode serial drain)."""
-        taken = list(self._pending)
-        self._pending.clear()
-        return taken
-
     @property
     def has_work(self) -> bool:
         return bool(self._pending) or any(not w.idle for w in self._workers)

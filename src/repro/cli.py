@@ -581,6 +581,20 @@ def _add_manifest_flag(sub) -> None:
     )
 
 
+def _add_gate_flags(sub) -> None:
+    sub.add_argument(
+        "--baseline",
+        metavar="PATH",
+        help="compare against this baseline snapshot; a regression "
+        "beyond tolerance exits non-zero",
+    )
+    sub.add_argument(
+        "--write-baseline",
+        metavar="PATH",
+        help="write the run's snapshot as a new baseline",
+    )
+
+
 def _add_bench_args(sub, help_text: str) -> None:
     sub.add_argument("bench", nargs="?", default="gemm", help=help_text)
     sub.add_argument(
@@ -606,10 +620,24 @@ def _add_follow_flags(sub) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors are one stderr line and exit 2, like every other
-    ``pvc-bench`` diagnosis."""
+    ``pvc-bench`` diagnosis.
+
+    :attr:`narrowed` maps a ``bench`` value to a parser that re-reads
+    the same arguments: a target that owns fewer flags than its command
+    (``profile service|sweep``) rejects the others instead of ignoring
+    them."""
+
+    narrowed: dict = {}
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message} (see --help)\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        narrow = self.narrowed.get(getattr(parsed, "bench", None))
+        if narrow is None:
+            return parsed, extras
+        return narrow.parse_known_args(args, namespace)
 
 
 def _actions(commands, name: str, help_text: str):
@@ -658,24 +686,15 @@ def build_parser() -> argparse.ArgumentParser:
         profile,
         f"{benches}; or a set: smoke, full (smoke + the campaign "
         "wall-clock/sim-cache matrix), service (daemon storm) or sweep "
-        "(design-space throughput)",
+        "(design-space throughput); service and sweep take only the "
+        "baseline flags (and service --seed)",
     )
     _add_fault_flags(profile, profile=False)
     _add_manifest_flag(profile)
     profile.add_argument(
         "--out", metavar="PATH", help="write the raw profile documents here"
     )
-    profile.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="compare against this baseline snapshot; a regression "
-        "beyond tolerance exits non-zero",
-    )
-    profile.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        help="write the run's snapshot as a new baseline",
-    )
+    _add_gate_flags(profile)
     profile.add_argument(
         "--flamegraph",
         metavar="PATH",
@@ -683,6 +702,15 @@ def build_parser() -> argparse.ArgumentParser:
         "(flamegraph.pl / speedscope input)",
     )
     profile.set_defaults(run=_cmd_profile)
+    profile.narrowed = {}
+    for target in ("service", "sweep"):
+        narrow = _Parser(prog=profile.prog, add_help=False)
+        narrow.add_argument("bench")
+        if target == "service":
+            narrow.add_argument("--seed", type=int, default=0)
+        _add_gate_flags(narrow)
+        narrow.set_defaults(run=_cmd_profile)
+        profile.narrowed[target] = narrow
 
     campaign = _actions(
         commands, "campaign", "crash-safe journalled campaigns"

@@ -96,6 +96,31 @@ class TestCorruptTail:
         assert len(loaded) == 1
         assert loaded.dropped_tail == 2
 
+    def test_undecodable_torn_tail_is_dropped(self, path):
+        self._journal_with_three(path)
+        with open(path, "ab") as fh:
+            fh.write(b'{"v":2,"type":"unit-start","unit":"x\xe2\x82')
+        loaded = Journal.load(path)
+        assert len(loaded) == 3
+        assert loaded.dropped_tail == 1
+        with pytest.raises(CampaignCorruptError, match=r":4: record is not valid"):
+            Journal.load(path, strict=True)
+        loaded.append("resume", skipped=["a", "b"], rerun=[])
+        assert len(Journal.load(path, strict=True)) == 4
+
+    def test_flipped_high_byte_mid_journal_fails_the_checksum(self, path):
+        self._journal_with_three(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        # The unit id "a" becomes an undecodable byte: still valid JSON
+        # once replaced, so only the sha256 check can reject it.
+        lines[1] = lines[1].replace(b'"unit": "a"', b'"unit": "\xe1"')
+        path.write_bytes(b"".join(lines))
+        loaded = Journal.load(path)
+        assert len(loaded) == 1
+        assert loaded.dropped_tail == 2
+        with pytest.raises(CampaignCorruptError, match=r":2: record fails its sha256"):
+            Journal.load(path, strict=True)
+
     def test_append_after_recovery_heals_the_file(self, path):
         j = self._journal_with_three(path)
         j.truncate_tail()

@@ -103,7 +103,7 @@ class TestCrashResumeByteIdentity:
     ):
         scenario, seed = "plane-outage", 0
         clean_code, clean_bytes = clean_runs(scenario, seed)
-        import repro.campaign.orchestrator as mod
+        import repro.campaign.scheduler as mod
 
         real = mod.execute_unit
         calls = []

@@ -6,11 +6,11 @@ The property under test: for any worker count N and any crash point,
 parallel execution resumes (serially or in parallel) to the same bytes.
 """
 
+import multiprocessing
 import os
 
 import pytest
 
-import repro.campaign.orchestrator as orch_mod
 import repro.campaign.scheduler as sched_mod
 from repro.campaign.journal import Journal
 from repro.campaign.orchestrator import Orchestrator
@@ -18,6 +18,7 @@ from repro.campaign.scheduler import JOBS_ENV, DagScheduler, resolve_jobs
 from repro.campaign.spec import get_spec
 from repro.errors import CampaignError, ReproError
 from repro.exitcodes import ExitCode
+from repro.faults.process import WorkerFaultPlan
 from repro.faults.scenarios import CampaignFaultPlan
 
 
@@ -123,10 +124,6 @@ class TestParallelByteIdentity:
                 raise ReproError("injected benchmark failure")
             return real(unit, scenario, seed, deps, profile)
 
-        # Serial runs resolve execute_unit through the orchestrator
-        # module, workers through the scheduler module; fork inherits
-        # the patched parent state.
-        monkeypatch.setattr(orch_mod, "execute_unit", flaky)
         monkeypatch.setattr(sched_mod, "execute_unit", flaky)
         serial = Orchestrator(tmp_path / "s", spec=get_spec("smoke"))
         code = serial.run()
@@ -247,3 +244,150 @@ class TestWorkerFailureContainment:
         assert [u.id for u in scheduler.pending] == ["campaign:summary"]
         outcomes = list(scheduler.outcomes())
         assert [o.unit.id for o in outcomes] == ["campaign:summary"]
+
+
+def _interrupt_pull_of(monkeypatch, victim):
+    """Deliver a SIGINT while the commit loop waits for *victim*."""
+    real = DagScheduler.outcomes
+
+    def outcomes(self):
+        stream = real(self)
+        try:
+            for outcome in stream:
+                if outcome.unit.id == victim:
+                    raise KeyboardInterrupt
+                yield outcome
+        finally:
+            stream.close()
+
+    monkeypatch.setattr(DagScheduler, "outcomes", outcomes)
+
+
+def _interrupt_in_parent(monkeypatch):
+    """Make in-process unit execution raise KeyboardInterrupt (as the
+    orchestrator's SIGINT handler does); forked workers run normally."""
+    parent = os.getpid()
+    real = sched_mod.execute_unit
+
+    def interrupting(unit, scenario, seed, deps, profile=False):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(unit, scenario, seed, deps, profile)
+
+    monkeypatch.setattr(sched_mod, "execute_unit", interrupting)
+
+
+class TestOneCommitLoop:
+    def test_serial_run_starts_no_worker(self, tmp_path, monkeypatch):
+        started = []
+
+        def no_supervisor(*args, **kwargs):
+            raise AssertionError("a serial run built a WorkerSupervisor")
+
+        monkeypatch.setattr(sched_mod, "WorkerSupervisor", no_supervisor)
+        monkeypatch.setattr(
+            multiprocessing.process.BaseProcess,
+            "start",
+            lambda proc: started.append(proc.name),
+        )
+        orch = Orchestrator(tmp_path / "c", spec=get_spec("smoke"), jobs=1)
+        assert orch.run() == ExitCode.OK
+        assert started == []
+        assert not orch._supervision.degraded
+
+    def test_serial_run_reraises_unexpected_errors_unchanged(
+        self, tmp_path, monkeypatch
+    ):
+        class Bug(Exception):
+            pass
+
+        def boom(unit, scenario, seed, deps, profile=False):
+            raise Bug("programming error")
+
+        monkeypatch.setattr(sched_mod, "execute_unit", boom)
+        orch = Orchestrator(tmp_path / "c", spec=get_spec("smoke"))
+        with pytest.raises(Bug, match="programming error"):
+            orch.run()
+
+    def test_interrupt_under_jobs2_journals_like_serial(
+        self, tmp_path, monkeypatch
+    ):
+        Orchestrator(tmp_path / "clean", spec=get_spec("smoke")).run()
+        victim = "table3:dawn"
+        real = sched_mod.execute_unit
+
+        def interrupting(unit, scenario, seed, deps, profile=False):
+            if unit.id == victim:
+                raise KeyboardInterrupt
+            return real(unit, scenario, seed, deps, profile)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sched_mod, "execute_unit", interrupting)
+            serial = Orchestrator(tmp_path / "s", spec=get_spec("smoke"))
+            assert serial.run() == ExitCode.INTERRUPTED
+        with monkeypatch.context() as patch:
+            _interrupt_pull_of(patch, victim)
+            parallel = Orchestrator(
+                tmp_path / "p", spec=get_spec("smoke"), jobs=2
+            )
+            assert parallel.run() == ExitCode.INTERRUPTED
+        journal = Journal.load(parallel.journal_path)
+        assert journal.records[-2]["type"] == "unit-start"
+        assert journal.records[-1]["during"] == victim
+        for name in ("journal.jsonl", "events.ndjson"):
+            assert (tmp_path / "p" / name).read_bytes() == (
+                tmp_path / "s" / name
+            ).read_bytes(), name
+        assert Orchestrator(tmp_path / "s").resume() == ExitCode.OK
+        assert Orchestrator(tmp_path / "p", jobs=2).resume() == ExitCode.OK
+        assert _tree_bytes(tmp_path / "p") == _tree_bytes(tmp_path / "s")
+        exclude = ("journal.jsonl", "events.ndjson")
+        assert _tree_bytes(tmp_path / "p", exclude) == _tree_bytes(
+            tmp_path / "clean", exclude
+        )
+
+    def test_interrupt_in_the_degraded_drain_propagates(self, monkeypatch):
+        _interrupt_in_parent(monkeypatch)
+        spec = get_spec("smoke")
+        victim = spec.execution_order()[0].id
+        scheduler = DagScheduler(
+            spec,
+            scenario=None,
+            seed=0,
+            profile=False,
+            jobs=2,
+            max_respawns=0,
+            worker_faults=WorkerFaultPlan(
+                "worker-poison", 0, kills={victim: (2, "start")}
+            ),
+            log=lambda _msg: None,
+        )
+        with pytest.raises(KeyboardInterrupt):
+            list(scheduler.outcomes())
+        assert scheduler.stats.degraded
+        assert not multiprocessing.active_children()
+
+    def test_interrupt_in_the_degraded_drain_is_resumable(
+        self, tmp_path, monkeypatch
+    ):
+        clean_code = Orchestrator(tmp_path / "clean", spec=get_spec("smoke")).run()
+        victim = get_spec("smoke").execution_order()[0].id
+        plan = WorkerFaultPlan("worker-poison", 0, kills={victim: (2, "start")})
+        with monkeypatch.context() as patch:
+            _interrupt_in_parent(patch)
+            orch = Orchestrator(
+                tmp_path / "c",
+                spec=get_spec("smoke"),
+                jobs=2,
+                worker_plan=plan,
+                max_respawns=0,
+            )
+            assert orch.run() == ExitCode.INTERRUPTED
+        assert orch._supervision.degraded
+        interrupted = Journal.load(orch.journal_path).of_type("interrupted")
+        assert [r["during"] for r in interrupted] == [victim]
+        assert Orchestrator(tmp_path / "c").resume() == clean_code
+        exclude = ("journal.jsonl", "events.ndjson")
+        assert _tree_bytes(tmp_path / "c", exclude) == _tree_bytes(
+            tmp_path / "clean", exclude
+        )

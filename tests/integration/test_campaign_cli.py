@@ -109,6 +109,21 @@ class TestCrashResume:
         assert _run("campaign", "resume", "--dir", d) == 0
         assert _run("campaign", "verify", "--dir", d) == 0
 
+    def test_undecodable_journal_tail_is_a_corrupt_tail(self, tmp_path, capsys):
+        d = str(tmp_path / "c")
+        assert _run("campaign", "run", "--dir", d, "--spec", "smoke") == 0
+        with open(tmp_path / "c" / "journal.jsonl", "ab") as fh:
+            fh.write(b'{"v":2,"type":"unit-start","unit":"x\xe2\x82')
+        capsys.readouterr()
+        assert _run("campaign", "status", "--dir", d) == 0
+        assert "1 corrupt record(s) in the tail" in capsys.readouterr().out
+        assert _run("campaign", "verify", "--dir", d) == 4
+        assert "journal.jsonl:11: record is not valid JSON" in (
+            capsys.readouterr().out
+        )
+        assert _run("campaign", "resume", "--dir", d) == 0
+        assert _run("campaign", "verify", "--dir", d) == 0
+
     def test_resume_without_campaign_fails_unhealthy(self, tmp_path, capsys):
         assert _run("campaign", "resume", "--dir", str(tmp_path / "x")) == 2
 

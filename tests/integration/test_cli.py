@@ -143,6 +143,12 @@ class TestFlagOwnership:
             "sweep smoke --spec paper",
             "campaign status --dir D --top-k 1",
             "loadgen --port 1 --ndjson",
+            "profile sweep --system dawn",
+            "profile sweep --inject throttle",
+            "profile sweep --seed 1",
+            "profile service --flamegraph x",
+            "profile service --out y",
+            "profile service --manifest m",
         ],
     )
     def test_foreign_flag_is_a_usage_error(self, argv, capsys):
