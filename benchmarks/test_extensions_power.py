@@ -1,4 +1,4 @@
-"""Extension benches: sweeps, autotuning, power, Frontier/A100.
+"""Extension benches: autotuning, power, Frontier/A100.
 
 These go beyond the paper's tables — each maps to a discussion point
 (the ppwi/wgsize search, the TDP/power-cap narrative, the future-work
@@ -10,35 +10,11 @@ import pytest
 from repro.dtypes import Precision
 from repro.hw.extensions import frontier, jlse_a100
 from repro.hw.ids import StackRef
-from repro.micro.sweep import (
-    fma_chain_sweep,
-    gemm_size_sweep,
-    half_bandwidth_point,
-    message_size_sweep,
-)
 from repro.miniapps import BudeAutotuner, MiniBude
 from repro.sim.engine import PerfEngine
 from repro.sim.kernel import gemm_kernel
 from repro.sim.noise import QUIET
 from repro.sim.power import PowerModel
-
-
-class TestSweeps:
-    def test_p2p_message_size_sweep(self, benchmark, aurora):
-        points = benchmark(
-            lambda: message_size_sweep(aurora, StackRef(0, 0), StackRef(0, 1))
-        )
-        benchmark.extra_info["asymptote"] = f"{points[-1].value / 1e9:.0f} GB/s"
-        benchmark.extra_info["n_half"] = f"{half_bandwidth_point(points) / 1e3:.0f} kB"
-        assert points[-1].value == pytest.approx(197e9, rel=0.02)
-
-    def test_gemm_size_sweep(self, benchmark, aurora):
-        points = benchmark(lambda: gemm_size_sweep(aurora, Precision.FP64))
-        assert points[-1].value == pytest.approx(13e12, rel=0.03)
-
-    def test_fma_chain_sweep(self, benchmark, aurora):
-        points = benchmark(lambda: fma_chain_sweep(aurora, Precision.FP64))
-        assert points[-1].value > 5 * points[0].value
 
 
 class TestAutotuning:

@@ -316,7 +316,9 @@ class WorkerSupervisor:
     def _degraded(self) -> bool:
         if not self.has_work:
             return False
-        if any(w.alive() for w in self._workers):
+        # Not ``alive()``: a worker that died after this pass's reap must
+        # be reaped, and its crash recorded, before the pool degrades.
+        if not all(w.reaped for w in self._workers):
             return False
         return self.stats.respawns >= self.max_respawns
 

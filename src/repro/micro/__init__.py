@@ -17,13 +17,6 @@ from .lats import (
 )
 from .p2p import MESSAGE_BYTES, P2PBandwidth, local_pairs, remote_pairs
 from .pcie import TRANSFER_BYTES, PcieBandwidth
-from .sweep import (
-    SweepPoint,
-    fma_chain_sweep,
-    gemm_size_sweep,
-    half_bandwidth_point,
-    message_size_sweep,
-)
 from .peak_flops import CHAIN_LENGTH, PeakFlops, fma_chain, fma_chain_reference
 from .triad import STREAM_FACTOR, Triad, triad, triad_array_bytes
 
@@ -52,11 +45,6 @@ __all__ = [
     "remote_pairs",
     "TRANSFER_BYTES",
     "PcieBandwidth",
-    "SweepPoint",
-    "fma_chain_sweep",
-    "gemm_size_sweep",
-    "half_bandwidth_point",
-    "message_size_sweep",
     "CHAIN_LENGTH",
     "PeakFlops",
     "fma_chain",

@@ -60,11 +60,22 @@ class MicroBenchmark(abc.ABC):
     #: Set by the @register decorator.
     benchmark_name: str = ""
 
+    #: Set on the instance once its functional leg has passed.
+    _functional_ok: bool = False
+
     @abc.abstractmethod
     def _measure_once(
         self, engine: PerfEngine, n_stacks: int, rep: int
     ) -> Measurement:
         """One repetition: returns elapsed simulated time + work done."""
+
+    def _functional_check(self) -> None:
+        """Run the reduced-size functional leg and verify its numerics.
+
+        The default has no leg.  Overrides read only constructor fields
+        and a fixed seed, so :meth:`measure` runs the check once per
+        instance rather than once per repetition.
+        """
 
     def measure(
         self,
@@ -73,7 +84,15 @@ class MicroBenchmark(abc.ABC):
         plan: RunPlan | None = None,
         runner: Runner | None = None,
     ) -> BenchmarkResult:
-        """Run the repeat-and-take-best protocol at the given scope."""
+        """Run the repeat-and-take-best protocol at the given scope.
+
+        The instance's functional leg runs before its first timed
+        repetition.  Only a passing check is remembered, so a diverging
+        one raises on every call.
+        """
+        if not self._functional_ok:
+            self._functional_check()
+            self._functional_ok = True
         runner = runner_for(engine, plan, runner)
         return runner.run(
             benchmark=self.benchmark_name or type(self).__name__,

@@ -163,7 +163,6 @@ class Fft(MicroBenchmark):
     def _measure_once(
         self, engine: PerfEngine, n_stacks: int, rep: int
     ) -> Measurement:
-        self._functional_check()
         spec = fft_kernel(self.n, ndim=self.ndim)
         rate = engine.fft_rate(self.ndim, n_stacks)
         elapsed = engine.noise.apply(

@@ -158,7 +158,6 @@ class Gemm(MicroBenchmark):
     def _measure_once(
         self, engine: PerfEngine, n_stacks: int, rep: int
     ) -> Measurement:
-        self._functional_check()
         spec = gemm_kernel(self.precision, self.n)
         elapsed = self._traced_kernel_elapsed(engine, spec, n_stacks, rep)
         unit = "Iop/s" if self.precision.is_integer else "Flop/s"

@@ -76,19 +76,21 @@ class PeakFlops(MicroBenchmark):
     def params(self) -> dict:
         return {"precision": self.precision.label, "chain": CHAIN_LENGTH}
 
+    def _functional_check(self) -> None:
+        # Actually run (a shortened) chain and check it.
+        if self.precision.is_integer:
+            return
+        dtype = self.precision.numpy_dtype
+        x0 = np.linspace(0.0, 1.0, self.lanes, dtype=dtype)
+        a = dtype.type(0.99) if hasattr(dtype, "type") else 0.99
+        out = fma_chain(x0, float(a), 0.5, self.functional_chain)
+        ref = fma_chain_reference(x0, float(a), 0.5, self.functional_chain)
+        if not np.allclose(out, ref, rtol=1e-3):
+            raise AssertionError("FMA chain numerics diverged")
+
     def _measure_once(
         self, engine: PerfEngine, n_stacks: int, rep: int
     ) -> Measurement:
-        # Functional leg: actually run (a shortened) chain and check it.
-        dtype = self.precision.numpy_dtype
-        if not self.precision.is_integer:
-            x0 = np.linspace(0.0, 1.0, self.lanes, dtype=dtype)
-            a = dtype.type(0.99) if hasattr(dtype, "type") else 0.99
-            out = fma_chain(x0, float(a), 0.5, self.functional_chain)
-            ref = fma_chain_reference(x0, float(a), 0.5, self.functional_chain)
-            if not np.allclose(out, ref, rtol=1e-3):
-                raise AssertionError("FMA chain numerics diverged")
-
         # Timed leg: a device-filling chain through the engine.  The rate
         # implied by (work / elapsed) is exactly the engine's achieved
         # multi-stack FMA rate.

@@ -112,16 +112,16 @@ class Triad(MicroBenchmark):
     def params(self) -> dict:
         return {"stream_factor": STREAM_FACTOR}
 
-    def _measure_once(
-        self, engine: PerfEngine, n_stacks: int, rep: int
-    ) -> Measurement:
-        # Functional leg at reduced size.
+    def _functional_check(self) -> None:
         b = np.linspace(0.0, 1.0, self.functional_elements)
         c = np.linspace(1.0, 2.0, self.functional_elements)
         a = triad(b, c, 3.0)
         if not np.allclose(a, b + 3.0 * c):
             raise AssertionError("triad numerics diverged")
 
+    def _measure_once(
+        self, engine: PerfEngine, n_stacks: int, rep: int
+    ) -> Measurement:
         # Timed leg at paper scale.
         spec = triad_kernel(triad_array_bytes(engine))
         elapsed = self._traced_kernel_elapsed(engine, spec, n_stacks, rep)

@@ -16,6 +16,7 @@ from repro.campaign.supervisor import (
     DEFAULT_MAX_RESPAWNS,
     SupervisionStats,
     WorkerSupervisor,
+    _Worker,
 )
 from repro.errors import CampaignError, ReproError, WorkerCrashError
 from repro.faults.process import WorkerFaultPlan
@@ -175,6 +176,23 @@ class TestDegradedMode:
         assert all(o.error is None for o in outcomes.values())
         assert scheduler.stats.degraded
         assert scheduler.stats.respawns == 0
+
+    def test_unreaped_death_does_not_degrade_yet(self):
+        # A worker can die between a pass's reap and its degradation
+        # check; its exit must be reaped (and journalled live) first.
+        sup = WorkerSupervisor(
+            1, worker_body=lambda *a: None, max_respawns=0, log=lambda _m: None
+        )
+        proc = sup._ctx.Process(target=lambda: None)
+        proc.start()
+        proc.join(timeout=30)
+        assert not proc.is_alive()
+        sup._workers.append(_Worker(0, proc, sup._ctx.Queue()))
+        sup._pending.append(("unit", {}))
+        assert not sup._degraded()
+        sup._reap_dead()
+        assert sup.stats.worker_exits == [(proc.name, 0)]
+        assert sup._degraded()
 
     def test_degraded_drain_propagates_unit_failures_normally(self, monkeypatch):
         def boom(unit, scenario, seed, deps, profile=False):
