@@ -260,7 +260,9 @@ def _cmd_profile_sweep(args) -> int:
 
     Runs the ~138k-point ``ci`` sweep through the batch engine, samples
     the scalar golden reference for bit-for-bit agreement and the
-    points-per-second speedup, and gates both throughput figures
+    points-per-second speedup (best of three runs per path, see
+    :func:`~repro.sweep.runner.sweep_benchmark_entries`), and gates both
+    throughput figures
     against ``BENCH_3.json``-style baselines.  Beyond the relative
     baseline gate there is a hard floor: the batch path must beat the
     scalar path by :data:`~repro.sweep.runner.SPEEDUP_FLOOR` (50x) or

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from ..dtypes import Precision
@@ -36,6 +37,18 @@ __all__ = [
 ]
 
 SWEEP_SPEC_SCHEMA = "repro.sweep.spec/v1"
+
+
+@lru_cache(maxsize=None)
+def _n_stacks(sysname: str) -> int:
+    """Stack count of a named system.
+
+    ``get_system`` builds the whole node (fabric graph included) on
+    every call; the runner asks for the stack scope once per chunk,
+    inside the timed batch path, so the count is looked up once per
+    name.
+    """
+    return get_system(sysname).n_stacks
 
 #: Workload families the runner knows how to turn into kernel columns,
 #: with the axes each one requires (in grid order).
@@ -114,7 +127,7 @@ class SweepSpec:
         if not self.systems:
             raise ConfigurationError(f"spec {self.name!r} names no systems")
         for sysname in self.systems:
-            get_system(sysname)  # raises UnknownSystemError early
+            _n_stacks(sysname)  # raises UnknownSystemError early
         if not self.precisions:
             raise ConfigurationError(
                 f"spec {self.name!r} names no precisions"
@@ -147,9 +160,9 @@ class SweepSpec:
 
     def stack_values(self, sysname: str) -> tuple[int, ...]:
         """The stack-count scope for one system."""
+        n = _n_stacks(sysname)
         if self.stacks == "all":
-            return tuple(range(1, get_system(sysname).n_stacks + 1))
-        n = get_system(sysname).n_stacks
+            return tuple(range(1, n + 1))
         bad = [s for s in self.stacks if s > n]
         if bad:
             raise ConfigurationError(

@@ -2,8 +2,10 @@
 entries, and agreement with an exhaustive scalar enumeration."""
 
 import filecmp
+import gc
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -13,6 +15,8 @@ from repro.sim.noise import QUIET
 from repro.sweep.runner import (
     SWEEP_FILE,
     SWEEP_SUMMARY_SCHEMA,
+    _axis_column,
+    _axis_values,
     _chunk_batch,
     run_sweep,
     render_summary,
@@ -158,6 +162,70 @@ class TestRunSweep:
         assert "batch speedup" in text
 
 
+class TestGridExpansion:
+    @pytest.mark.parametrize("stride", [1, 3, 7, 24, 1000])
+    def test_axis_column_matches_divmod(self, stride):
+        values = np.array([5, 11, 2, 9], dtype=np.int64)
+        for offset in (0, 1, stride - 1, stride, 5 * stride + 2, 997):
+            for count in (1, 2, stride, 4 * stride, 4 * stride + 3, 500):
+                idx = np.arange(offset, offset + count)
+                want = values[idx // stride % values.shape[0]]
+                got = _axis_column(values, stride, offset, count)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, want), (offset, count)
+
+    @pytest.mark.parametrize("name", ["smoke", "ci", "mix"])
+    def test_axis_values_match_row_major_divmod(self, name):
+        spec = get_sweep_spec(name)
+        for sysname in spec.systems:
+            axes = [
+                ("n_stacks", spec.stack_values(sysname)),
+                ("precision_code", spec.precision_codes()),
+                *spec.axes,
+            ]
+            points = spec.system_points(sysname)
+            for offset, count in ((0, points), (points // 3, points // 2)):
+                cols = _axis_values(spec, sysname, offset, count)
+                rem = np.arange(offset, offset + count)
+                for axis, values in reversed(axes):
+                    values = np.asarray(values, dtype=np.int64)
+                    want = values[rem % values.shape[0]]
+                    assert np.array_equal(cols[axis], want), axis
+                    rem = rem // values.shape[0]
+
+
+class TestCollectorPaused:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_sweep_restores_collector_state(self, enabled):
+        was = gc.isenabled()
+        try:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            run_sweep(SMOKE, verify=4)
+            assert gc.isenabled() is enabled
+        finally:
+            if was:
+                gc.enable()
+            else:
+                gc.disable()
+
+    def test_collector_off_while_chunks_are_timed(self, monkeypatch):
+        import repro.sweep.runner as runner
+
+        seen = []
+        worker = runner._chunk_worker
+
+        def spy(task):
+            seen.append(gc.isenabled())
+            return worker(task)
+
+        monkeypatch.setattr(runner, "_chunk_worker", spy)
+        run_sweep(SMOKE, verify=0, chunk_points=16)
+        assert seen and not any(seen)
+
+
 class TestBenchmarkEntries:
     def test_entry_shape(self):
         entries = sweep_benchmark_entries("smoke", verify=16)
@@ -170,3 +238,29 @@ class TestBenchmarkEntries:
         assert entry["points_per_s"] > 0
         assert entry["batch_speedup"] > 0
         assert entry["fom"] > 0
+
+    def test_each_path_keeps_its_best_run(self, monkeypatch):
+        import repro.sweep.runner as runner
+
+        real = run_sweep(SMOKE, verify=16)
+        # (batch wall, scalar points/s) per run: the best batch run and
+        # the best scalar run are different runs.
+        runs = iter([(0.004, 1000.0), (0.002, 500.0), (0.003, 4000.0)])
+
+        def fake(spec, **kwargs):
+            wall, scalar = next(runs)
+            summary = {
+                **real.summary,
+                "eval_wall_s": wall,
+                "points_per_s": 72 / wall,
+                "scalar": {**real.summary["scalar"], "points_per_s": scalar},
+            }
+            return runner.SweepOutcome(summary=summary, topk=real.topk)
+
+        monkeypatch.setattr(runner, "run_sweep", fake)
+        (entry,) = sweep_benchmark_entries("smoke", verify=16)
+        assert runner.GATE_REPEATS == 3
+        assert entry["wall_s"] == 0.002
+        assert entry["points_per_s"] == 72 / 0.002
+        assert entry["scalar_points_per_s"] == 4000.0
+        assert entry["batch_speedup"] == (72 / 0.002) / 4000.0
