@@ -18,13 +18,17 @@ the microbenchmarks:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from ..dtypes import Precision
 from ..sim.engine import PerfEngine
+
+# scipy is imported where the solver needs it: the analytic HPL/HPCG
+# models (all `pvc-bench top500` uses) never touch it.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "build_hpcg_operator",
@@ -41,6 +45,8 @@ def build_hpcg_operator(n: int) -> sp.csr_matrix:
     Diagonal 26, off-diagonals -1 to every 3D neighbour (the reference
     HPCG problem); symmetric positive definite.
     """
+    import scipy.sparse as sp
+
     if n < 2:
         raise ValueError("grid must be at least 2^3")
     idx = np.arange(n**3).reshape(n, n, n)
@@ -83,6 +89,9 @@ class CgResult:
 
 def _sym_gauss_seidel(a: sp.csr_matrix):
     """Symmetric Gauss-Seidel preconditioner (HPCG's smoother)."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     lower = sp.tril(a, format="csr")
     upper = sp.triu(a, format="csr")
     diag = a.diagonal()

@@ -13,8 +13,8 @@ Two structural facts from the paper drive this module:
    needs an extra hop, e.g. ``0.0 -> 1.0`` routes as ``0.0 -> 1.1 -> 1.0``
    or ``0.0 -> 0.1 -> 1.0``.
 
-The fabric is a :mod:`networkx` multigraph over host sockets and logical
-devices; routing enumerates simple paths and picks minimum-hop routes, so
+The fabric is an adjacency map over host sockets and logical devices;
+routing is a breadth-first search that keeps every minimum-hop path, so
 the two alternative paths the paper describes fall out of the topology.
 """
 
@@ -24,8 +24,6 @@ import enum
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 from ..errors import TopologyError
 from .ids import StackRef
@@ -108,18 +106,19 @@ class Fabric:
     """
 
     def __init__(self) -> None:
-        self._g = nx.Graph()
+        # node -> {neighbour: Link}, both directions, in insertion order.
+        self._adj: dict[object, dict[object, Link]] = {}
         self._planes: tuple[frozenset[StackRef], ...] = ()
         # Health overlay (fault injection).  The underlying graph is never
         # mutated: dead stacks and dead/degraded links are tracked here and
         # filtered out (or scaled) by the routing/bandwidth queries.
         self._down_stacks: set[StackRef] = set()
         self._link_health: dict[frozenset, float] = {}
-        # Route memoization.  Enumerating minimum-hop routes walks the
-        # networkx graph (shortest_path_length + all_simple_paths) — the
-        # dominant cost of P2P sweeps — yet the answer only changes when
-        # the topology or the health overlay does, so every mutator
-        # bumps ``_route_generation`` and drops the caches.
+        # Route memoization.  Enumerating minimum-hop routes searches the
+        # graph and builds Route objects on every P2P query, yet the
+        # answer only changes when the topology or the health overlay
+        # does, so every mutator bumps ``_route_generation`` and drops
+        # the caches.
         self._route_generation = 0
         self._route_cache: dict[tuple, list[Route]] = {}
         self._hops_cache: dict[tuple, int] = {}
@@ -139,15 +138,15 @@ class Fabric:
     # -- construction -------------------------------------------------
 
     def add_host(self, socket: int) -> None:
-        self._g.add_node((HOST, socket))
+        self._adj.setdefault((HOST, socket), {})
 
     def add_stack(self, ref: StackRef) -> None:
-        self._g.add_node(ref)
+        self._adj.setdefault(ref, {})
 
     def connect(self, a, b, link: Link) -> None:
-        if a not in self._g or b not in self._g:
+        if a not in self._adj or b not in self._adj:
             raise TopologyError(f"unknown endpoint in {a} -- {b}")
-        self._g.add_edge(a, b, link=link)
+        self._adj[a][b] = self._adj[b][a] = link
         self._invalidate_routes()
 
     def set_planes(self, planes: Sequence[Iterable[StackRef]]) -> None:
@@ -157,7 +156,7 @@ class Fabric:
 
     def set_stack_down(self, ref: StackRef) -> None:
         """Mark a stack as lost: it disappears from routing and enumeration."""
-        if ref not in self._g:
+        if ref not in self._adj:
             raise TopologyError(f"unknown stack {ref}")
         self._down_stacks.add(ref)
         self._invalidate_routes()
@@ -217,24 +216,11 @@ class Fabric:
                 out.append((a, b, health))
         return sorted(out, key=lambda t: (str(t[0]), str(t[1])))
 
-    def _alive_view(self, nodes: Iterable) -> "nx.Graph":
-        """Subgraph over *nodes* excluding dead stacks and dead links."""
-        keep = [n for n in nodes if n not in self._down_stacks]
-        view = self._g.subgraph(keep)
-        dead_edges = [
-            tuple(key)
-            for key, health in self._link_health.items()
-            if health == 0.0
-        ]
-        if not dead_edges:
-            return view
-        return nx.restricted_view(view, [], dead_edges)
-
     # -- queries --------------------------------------------------------
 
     @property
     def stacks(self) -> list[StackRef]:
-        return sorted(n for n in self._g.nodes if isinstance(n, StackRef))
+        return sorted(n for n in self._adj if isinstance(n, StackRef))
 
     @property
     def alive_stacks(self) -> list[StackRef]:
@@ -254,17 +240,49 @@ class Fabric:
         return self.plane_of(a) == self.plane_of(b)
 
     def link_between(self, a, b) -> Link | None:
-        data = self._g.get_edge_data(a, b)
-        return None if data is None else data["link"]
+        return self._adj.get(a, {}).get(b)
 
-    def _as_route(self, nodes: Sequence) -> Route:
-        hops = []
-        for u, v in zip(nodes, nodes[1:]):
-            link = self.link_between(u, v)
-            if link is None:  # pragma: no cover - guarded by nx paths
-                raise TopologyError(f"no link {u} -- {v}")
-            hops.append((u, v, link))
-        return Route(tuple(hops))
+    def _shortest_paths(self, src, dst, alive: bool) -> list[list]:
+        """Every minimum-hop node path from *src* to *dst*.
+
+        A breadth-first search records hop distances from *src*; walking
+        back from *dst* along decreasing distance yields each path.
+        Device-to-device paths stay on stacks, and with *alive* dead
+        stacks and links at health 0.0 are skipped.
+        """
+        on_stacks = isinstance(src, StackRef) and isinstance(dst, StackRef)
+
+        def usable(node, via) -> bool:
+            if on_stacks and not isinstance(node, StackRef):
+                return False
+            return not alive or (
+                node not in self._down_stacks
+                and (via is None or self.link_health(node, via) != 0.0)
+            )
+
+        if src not in self._adj or not usable(src, None):
+            raise TopologyError(f"no route {src} -> {dst}")
+        dist = {src: 0}
+        frontier = [src]
+        while frontier and dst not in dist:
+            nxt = []
+            for u in frontier:
+                for v in self._adj[u]:
+                    if v not in dist and usable(v, u):
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        if dst not in dist:
+            raise TopologyError(f"no route {src} -> {dst}")
+        paths = [[dst]]
+        for _ in range(dist[dst]):
+            paths = [
+                [u] + p
+                for p in paths
+                for u in self._adj[p[0]]
+                if dist.get(u) == dist[p[0]] - 1 and usable(u, p[0])
+            ]
+        return paths
 
     def routes(self, src, dst) -> list[Route]:
         """All minimum-hop routes (plus ties) from *src* to *dst*.
@@ -279,22 +297,11 @@ class Fabric:
         cached = self._route_cache.get((src, dst))
         if cached is not None:
             return list(cached)
-        nodes = self._g.nodes
-        if isinstance(src, StackRef) and isinstance(dst, StackRef):
-            nodes = [n for n in self._g.nodes if isinstance(n, StackRef)]
-        graph = self._alive_view(nodes)
-        try:
-            shortest = nx.shortest_path_length(graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise TopologyError(f"no route {src} -> {dst}") from None
         routes = [
-            self._as_route(p)
-            for p in nx.all_simple_paths(graph, src, dst, cutoff=shortest)
-            if len(p) - 1 == shortest
+            Route(tuple((u, v, self._adj[u][v]) for u, v in zip(p, p[1:])))
+            for p in self._shortest_paths(src, dst, alive=True)
         ]
         routes.sort(key=lambda r: (r.n_hops, r.describe()))
-        if not routes:  # pragma: no cover
-            raise TopologyError(f"no route {src} -> {dst}")
         self._route_cache[(src, dst)] = routes
         return list(routes)
 
@@ -314,13 +321,7 @@ class Fabric:
         cached = self._hops_cache.get((src, dst))
         if cached is not None:
             return cached
-        nodes = self._g.nodes
-        if isinstance(src, StackRef) and isinstance(dst, StackRef):
-            nodes = [n for n in self._g.nodes if isinstance(n, StackRef)]
-        try:
-            hops = nx.shortest_path_length(self._g.subgraph(nodes), src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise TopologyError(f"no route {src} -> {dst}") from None
+        hops = len(self._shortest_paths(src, dst, alive=False)[0]) - 1
         self._hops_cache[(src, dst)] = hops
         return hops
 
@@ -339,15 +340,13 @@ class Fabric:
         return self.route((HOST, socket), ref)
 
     def degree(self, node) -> int:
-        return self._g.degree[node]
+        return len(self._adj[node])
 
     def xelink_neighbors(self, ref: StackRef) -> list[StackRef]:
-        out = []
-        for nbr in self._g.neighbors(ref):
-            link = self.link_between(ref, nbr)
-            if link is not None and link.kind is LinkKind.XELINK:
-                out.append(nbr)
-        return sorted(out)
+        return sorted(
+            nbr for nbr, link in self._adj[ref].items()
+            if link.kind is LinkKind.XELINK
+        )
 
 
 # ---------------------------------------------------------------------------

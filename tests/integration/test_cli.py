@@ -183,15 +183,15 @@ class TestFlagOwnership:
         assert "(0, 1)" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_import_loads_no_service_sweep_or_profiler_code(self):
-        # Every pvc-bench process imports the CLI and builds its parser;
-        # the heavy subsystems load only when their command runs.
+    @staticmethod
+    def _modules_loaded(code: str, prefixes: tuple[str, ...]) -> str:
+        """Run *code* in a fresh interpreter; the sorted loaded modules
+        that start with one of *prefixes*, as printed on its last line."""
         import repro
 
-        code = (
-            "import sys, repro.cli; repro.cli.build_parser(); "
-            "print(sorted(m for m in sys.modules if m.startswith("
-            "('repro.service', 'repro.sweep', 'repro.profiler'))))"
+        code += (
+            "\nimport sys; print(sorted(m for m in sys.modules "
+            f"if m.startswith({prefixes!r})))"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
         out = subprocess.run(
@@ -201,7 +201,34 @@ class TestFlagOwnership:
             text=True,
             check=True,
         ).stdout
-        assert out.strip() == "[]"
+        return out.strip().splitlines()[-1]
+
+    def test_import_loads_no_service_sweep_or_profiler_code(self):
+        # Every pvc-bench process imports the CLI and builds its parser;
+        # the heavy subsystems load only when their command runs.
+        out = self._modules_loaded(
+            "import repro.cli; repro.cli.build_parser()",
+            ("repro.service", "repro.sweep", "repro.profiler"),
+        )
+        assert out == "[]"
+
+    def test_bench_entry_points_load_neither_networkx_nor_scipy(self):
+        # The fabric routes on its own adjacency map and the HPCG solver
+        # imports scipy only when it runs, so no campaign, sweep or
+        # service process pays for either package at start-up.
+        out = self._modules_loaded(
+            "import repro.cli, repro.campaign.orchestrator, "
+            "repro.sweep.runner, repro.service.daemon",
+            ("networkx", "scipy"),
+        )
+        assert out == "[]"
+
+    def test_top500_does_not_load_scipy(self):
+        # top500 reads only the analytic HPL/HPCG models.
+        out = self._modules_loaded(
+            "from repro.cli import main; main(['top500'])", ("scipy",)
+        )
+        assert out == "[]"
 
 
 _ROOT = Path(__file__).resolve().parents[2]
