@@ -23,9 +23,9 @@ _ROWS = {
     "fp64_flops": lambda: PeakFlops(Precision.FP64),
     "fp32_flops": lambda: PeakFlops(Precision.FP32),
     "triad": Triad,
-    "pcie_h2d": lambda: PcieBandwidth("h2d", payload_bytes=1 << 22),
-    "pcie_d2h": lambda: PcieBandwidth("d2h", payload_bytes=1 << 22),
-    "pcie_bidir": lambda: PcieBandwidth("bidir", payload_bytes=1 << 22),
+    "pcie_h2d": lambda: PcieBandwidth("h2d"),
+    "pcie_d2h": lambda: PcieBandwidth("d2h"),
+    "pcie_bidir": lambda: PcieBandwidth("bidir"),
     "dgemm": lambda: Gemm(Precision.FP64),
     "sgemm": lambda: Gemm(Precision.FP32),
     "hgemm": lambda: Gemm(Precision.FP16),

@@ -39,8 +39,8 @@ def characterize(name: str) -> None:
         ("FP64 peak flops", PeakFlops(Precision.FP64)),
         ("FP32 peak flops", PeakFlops(Precision.FP32)),
         ("stream triad", Triad()),
-        ("PCIe H2D", PcieBandwidth("h2d", payload_bytes=1 << 22)),
-        ("PCIe bidir", PcieBandwidth("bidir", payload_bytes=1 << 22)),
+        ("PCIe H2D", PcieBandwidth("h2d")),
+        ("PCIe bidir", PcieBandwidth("bidir")),
         ("DGEMM", Gemm(Precision.FP64)),
         ("SGEMM", Gemm(Precision.FP32)),
         ("FFT C2C 1D", Fft(1)),

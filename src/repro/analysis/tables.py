@@ -40,14 +40,6 @@ __all__ = ["table_i", "table_ii", "table_iii", "table_iv", "table_v", "table_vi"
 
 _PLAN = RunPlan(repetitions=5, warmup=1)
 
-#: Functional buffer bound for the PCIe cells.  The *simulated* timing
-#: always uses the benchmark's declared 500 MB message (``timed_nbytes``);
-#: the actual numpy payload only exists to verify data integrity, and
-#: copying 500 MB of host memory per rep dominated the table's
-#: wall-clock.  1 MiB keeps the integrity check meaningful at ~1/500th
-#: of the cost, with byte-identical table output.
-_PCIE_PAYLOAD_BYTES = 1 << 20
-
 
 def _engine_for(sys_name: str, ctx: "ExecutionContext | None") -> PerfEngine:
     if ctx is not None:
@@ -102,15 +94,15 @@ _TABLE_II_ROWS = [
     ("Memory Bandwidth (triad)", Triad),
     (
         "PCIe Unidirectional Bandwidth (H2D)",
-        lambda: PcieBandwidth("h2d", payload_bytes=_PCIE_PAYLOAD_BYTES),
+        lambda: PcieBandwidth("h2d"),
     ),
     (
         "PCIe Unidirectional Bandwidth (D2H)",
-        lambda: PcieBandwidth("d2h", payload_bytes=_PCIE_PAYLOAD_BYTES),
+        lambda: PcieBandwidth("d2h"),
     ),
     (
         "PCIe Bidirectional Bandwidth",
-        lambda: PcieBandwidth("bidir", payload_bytes=_PCIE_PAYLOAD_BYTES),
+        lambda: PcieBandwidth("bidir"),
     ),
     ("DGEMM", lambda: Gemm(Precision.FP64)),
     ("SGEMM", lambda: Gemm(Precision.FP32)),

@@ -14,12 +14,9 @@ benchmark units.  The subsystem has four layers:
   one JSON payload per completed unit, digest-bound to the journal;
 * :mod:`repro.campaign.scheduler` — the DAG scheduler, the only
   producer of unit outcomes: in-process at ``--jobs 1``, opportunistic
-  execution across a worker pool at ``--jobs N``, outcomes strictly in
-  topological order either way;
-* :mod:`repro.campaign.supervisor` — the self-healing layer under the
-  scheduler: dead-worker detection and respawn (with a budget),
-  poison-unit quarantine, heartbeat-based hang kills, and graceful
-  degradation to the in-process step;
+  execution on a standard-library process pool at ``--jobs N``,
+  outcomes strictly in topological order either way; a worker death
+  degrades the run to the in-process step;
 * :mod:`repro.campaign.orchestrator` — one commit loop for every
   ``--jobs``: commits units in topological order under a supervisor
   (per-unit simulated-time watchdog, campaign deadline, SIGINT/SIGTERM
@@ -29,32 +26,27 @@ benchmark units.  The subsystem has four layers:
 Determinism contract: a campaign interrupted after any unit and then
 resumed — serially or with any ``--jobs N`` — produces byte-identical
 journal, store, final tables and manifest to an uninterrupted serial
-run with the same seed and scenario.  Supervised healing (worker
-respawns, hang kills, transient-ENOSPC retries) preserves that
-contract; only poison-unit quarantine and degraded mode leave a
-(deterministic) trace.
+run with the same seed and scenario.  A worker death (the degrade step)
+and transient-ENOSPC retries leave no trace in those artifacts either;
+a worker death shows only on stderr and in the wall-clock
+``live.ndjson`` stream.
 """
 
 from .journal import Journal, JournalRecord
 from .orchestrator import Orchestrator
-from .scheduler import DagScheduler, resolve_jobs, scheduler_selfcheck
+from .scheduler import DagScheduler, resolve_jobs
 from .spec import SPEC_NAMES, CampaignSpec, CampaignUnit, get_spec
 from .store import ResultStore
-from .supervisor import DEFAULT_MAX_RESPAWNS, SupervisionStats, WorkerSupervisor
 
 __all__ = [
     "CampaignSpec",
     "CampaignUnit",
-    "DEFAULT_MAX_RESPAWNS",
     "DagScheduler",
     "Journal",
     "JournalRecord",
     "Orchestrator",
     "ResultStore",
     "SPEC_NAMES",
-    "SupervisionStats",
-    "WorkerSupervisor",
     "get_spec",
     "resolve_jobs",
-    "scheduler_selfcheck",
 ]

@@ -6,9 +6,11 @@ One JSONL file (``journal.jsonl``) records every campaign transition:
   full unit schedule;
 * ``unit-start`` / ``unit-done`` / ``unit-failed`` — per-unit lifecycle;
   ``unit-done`` binds the unit's result-store payload by SHA-256 digest;
-* ``unit-quarantined`` — a poison unit pulled from the worker pool after
-  crashing K consecutive workers, with their exit codes as provenance
-  (resume treats it like ``unit-failed``: sticky, never re-run);
+* ``unit-quarantined`` — read-only: journals from before the process
+  pool degraded to the in-process step on a worker death may hold it
+  (a unit pulled from the pool after crashing K workers); nothing
+  writes it any more, and status/resume/verify treat it as
+  ``unit-failed``;
 * ``resume`` — which units a resumed run skipped, re-ran, or recovered
   from a corrupt tail;
 * ``interrupted`` / ``deadline`` — early exits that remain resumable;
@@ -51,7 +53,8 @@ from ..ioutils import (
 
 __all__ = ["JournalRecord", "Journal"]
 
-#: Record types the orchestrator writes (documented in docs/campaigns.md).
+#: Record types the reader accepts (documented in docs/campaigns.md);
+#: the orchestrator writes all of them but ``unit-quarantined``.
 RECORD_TYPES = (
     "campaign-start",
     "unit-start",

@@ -27,15 +27,14 @@ optionally tearing the journal's last record).  They apply to
 
 One commit loop serves every ``--jobs``: at ``--jobs 1`` the scheduler
 executes each unit in-process when it is pulled; with ``--jobs N`` the
-units run under a supervised worker pool (:mod:`.supervisor`): dead
-workers respawn up to ``--max-respawns``, a unit that kills K
-consecutive workers is journalled as ``unit-quarantined`` (with the
-worker exit codes as provenance) while the rest of the DAG continues,
-and an exhausted respawn budget degrades to the in-process step instead
-of failing the run.  The ``worker-kill`` / ``worker-hang`` /
-``worker-poison`` / ``io-enospc`` scenarios inject exactly those
-faults; like the crash scenarios they apply to the original ``campaign
-run`` only.
+units run on a process pool, and a worker death degrades the run to
+that same in-process step (:mod:`.scheduler`) instead of failing it,
+so the committed bytes do not change.  The ``worker-kill`` and
+``io-enospc`` scenarios inject a worker SIGKILL and transient ``ENOSPC``
+writes; like the crash scenarios they apply to the original ``campaign
+run`` only.  Journals written before the pool degraded this way may
+hold ``unit-quarantined`` records; status, resume and verify read them
+as ``unit-failed``.
 """
 
 from __future__ import annotations
@@ -123,8 +122,6 @@ class Orchestrator:
         profile: bool = False,
         jobs: int | None = None,
         worker_plan: WorkerFaultPlan | None = None,
-        max_respawns: int | None = None,
-        hang_timeout_s: float | None = None,
         trace: str | None = None,
     ) -> None:
         from ..obs.requests import TRACEPARENT_ENV, parse_traceparent
@@ -139,8 +136,6 @@ class Orchestrator:
         self.profile = profile
         self.jobs = resolve_jobs(jobs)
         self.worker_plan = worker_plan
-        self.max_respawns = max_respawns
-        self.hang_timeout_s = hang_timeout_s
         # Trace context: an explicit traceparent (the daemon's) wins;
         # otherwise inherit the ambient env var (a CLI campaign run
         # inside a traced request).  The live stream stamps every
@@ -158,7 +153,6 @@ class Orchestrator:
         )
         self._interrupted = False
         self._payloads: dict[str, dict] = {}
-        self._supervision = None
 
     # ------------------------------------------------------------------
     # paths
@@ -238,8 +232,8 @@ class Orchestrator:
         with self._io_faults():
             journal = Journal(self.journal_path)
             # Worker fault scenarios are deliberately absent from this
-            # record: supervision heals them without a trace, so the
-            # journal must stay byte-identical to a fault-free run.
+            # record: the degrade step heals them without a trace, so
+            # the journal must stay byte-identical to a fault-free run.
             journal.append(
                 "campaign-start",
                 spec=self.spec.name,
@@ -265,10 +259,10 @@ class Orchestrator:
                 _log(self.campaign_plan.describe())
             if self.worker_plan is not None:
                 _log(self.worker_plan.describe())
-                if self.jobs == 1 and self.worker_plan.wants_workers:
+                if self.jobs == 1 and self.worker_plan.kill is not None:
                     _log(
-                        "note: worker fault scenarios need --jobs > 1; "
-                        "serial runs execute in-process and cannot be killed"
+                        "note: worker-kill needs --jobs > 1; serial runs "
+                        "execute in-process and cannot be killed"
                     )
             return self._execute(journal, completed={})
 
@@ -321,9 +315,8 @@ class Orchestrator:
             if rec["type"] == "unit-done":
                 completed[rec["unit"]] = rec["digest"]
             elif rec["type"] in ("unit-failed", "unit-quarantined"):
-                # Quarantine is sticky: the unit killed K workers in the
-                # original run, so resume must not feed it to the pool
-                # again — its stored FAILED payload stands.
+                # A failure (or a legacy quarantine) is final: its
+                # stored FAILED payload stands and resume skips it.
                 completed[rec["unit"]] = rec["digest"]
                 failed[rec["unit"]] = rec.get("error", "")
         corrupt = [
@@ -415,14 +408,13 @@ class Orchestrator:
         payload: dict,
         digest: str,
         simulated_total: float,
-        quarantined: tuple[int, ...] | None = None,
     ) -> None:
         """Publish one committed unit's deterministic event records.
 
         Everything here is distilled from the stored payload (itself a
         pure function of the unit's identity) plus the cumulative
         simulated clock, so the emitted bytes are identical however the
-        unit was executed — serial, worker pool, or degraded drain.
+        unit was executed — serial, worker pool, or degraded step.
         """
         sim_us = simulated_total * 1e6
         for incident in payload.get("incidents", []):
@@ -452,8 +444,6 @@ class Orchestrator:
         extra: dict = {}
         if payload.get("error") is not None:
             extra["error"] = payload["error"]
-        if quarantined is not None:
-            extra["exit_codes"] = list(quarantined)
         self.events.emit(
             "unit-committed",
             sim_us=sim_us,
@@ -493,15 +483,6 @@ class Orchestrator:
             self._payload(uid, digest).get("simulated_s", 0.0)
             for uid, digest in completed.items()
         )
-        hang_timeout_s = self.hang_timeout_s
-        if (
-            hang_timeout_s is None
-            and self.worker_plan is not None
-            and self.worker_plan.hangs
-        ):
-            # An injected hang must be detected promptly or the chaos
-            # suite would wait out the production default.
-            hang_timeout_s = 2.0
         scheduler = DagScheduler(
             self.spec,
             scenario=self.scenario,
@@ -510,14 +491,10 @@ class Orchestrator:
             jobs=self.jobs,
             unit_timeout_s=self.unit_timeout_s,
             preloaded={uid: self._payload(uid) for uid in completed},
-            max_respawns=self.max_respawns,
-            hang_timeout_s=hang_timeout_s,
             worker_faults=self.worker_plan,
-            log=_log,
             events=self.events,
             traceparent=self.traceparent,
         )
-        self._supervision = scheduler.stats
         if self.jobs > 1:
             _log(
                 f"parallel execution: {len(scheduler.pending)} unit(s) across "
@@ -556,24 +533,7 @@ class Orchestrator:
                         return ExitCode.INTERRUPTED
                     payload = outcome.payload
                     digest = self.store.put(unit.id, payload)
-                    if outcome.quarantined is not None:
-                        journal.append(
-                            "unit-quarantined",
-                            unit=unit.id,
-                            digest=digest,
-                            status=payload["status"],
-                            error=payload["error"],
-                            exit_codes=list(outcome.quarantined),
-                        )
-                        self._emit_unit_events(
-                            unit,
-                            payload,
-                            digest,
-                            simulated_total,
-                            quarantined=tuple(outcome.quarantined),
-                        )
-                        _log(f"{unit.id}: QUARANTINED ({payload['error']})")
-                    elif outcome.error is not None:
+                    if outcome.error is not None:
                         journal.append(
                             "unit-failed",
                             unit=unit.id,
@@ -673,30 +633,12 @@ class Orchestrator:
             "simulated_total_s": sum(
                 p.get("simulated_s", 0.0) for p in payloads
             ),
-            "metrics": self._campaign_metrics(payloads).snapshot(),
+            "metrics": aggregate_metrics(payloads).snapshot(),
         }
-        stats = self._supervision
-        if stats is not None and stats.eventful():
-            # Only quarantine/degradation may leave a manifest trace;
-            # transparently healed respawns keep the bytes identical to
-            # a fault-free serial run.
-            campaign["supervision"] = stats.to_doc()
         doc = build_manifest(
             "campaign", ctx, campaign=campaign, systems=self.spec.systems()
         )
         atomic_write_text(self.manifest_path, render_manifest(doc))
-
-    def _campaign_metrics(self, payloads) -> MetricsRegistry:
-        """Unit metrics plus the scheduler counters, when eventful."""
-        registry = aggregate_metrics(payloads)
-        stats = self._supervision
-        if stats is not None and stats.eventful():
-            registry.inc("worker.respawns", stats.respawns)
-            for unit_id in sorted(stats.quarantined):
-                registry.inc("unit.quarantined", 1, unit=unit_id)
-            if stats.degraded:
-                registry.inc("scheduler.degraded", 1)
-        return registry
 
     # ------------------------------------------------------------------
     # status / verify
@@ -715,12 +657,8 @@ class Orchestrator:
         config = self._load_config(journal)
         spec = get_spec(config["spec"])
         state: dict[str, str] = {u.id: "pending" for u in spec.execution_order()}
-        quarantined: dict[str, list] = {}
         for rec in journal.records:
-            if rec["type"] == "unit-quarantined":
-                state[rec["unit"]] = "QUARANTINED"
-                quarantined[rec["unit"]] = rec.get("exit_codes", [])
-            elif rec["type"] in ("unit-done", "unit-failed"):
+            if rec["type"] in ("unit-done", "unit-failed", "unit-quarantined"):
                 state[rec["unit"]] = rec["status"]
             elif rec["type"] == "unit-start" and state.get(rec["unit"]) == "pending":
                 state[rec["unit"]] = "started"
@@ -735,16 +673,7 @@ class Orchestrator:
             )
         )
         for uid, unit_state in state.items():
-            provenance = ""
-            if uid in quarantined:
-                codes = ", ".join(str(c) for c in quarantined[uid])
-                provenance = f" (worker exit codes: {codes})"
-            print(f"  {uid:24s} {unit_state}{provenance}")
-        if quarantined:
-            print(
-                f"  {len(quarantined)} unit(s) quarantined after repeated "
-                "worker crashes; their dependents carry FAILED provenance"
-            )
+            print(f"  {uid:24s} {unit_state}")
         self._status_workers()
         print(
             f"  {done}/{len(state)} unit(s) complete, "
@@ -762,7 +691,7 @@ class Orchestrator:
         return ExitCode.OK
 
     def _status_workers(self) -> None:
-        """Per-worker heartbeat ages and respawn counts (live stream)."""
+        """Per-worker lanes and their last activity (live stream)."""
         import time
 
         from ..obs.watch import worker_lanes
@@ -771,24 +700,16 @@ class Orchestrator:
         if not lanes:
             return
         now = time.time()
-        respawns = max((ln.respawns_used for ln in lanes), default=0)
-        print(
-            f"  workers: {len(lanes)} lane(s), "
-            f"{respawns} respawn(s) used"
-        )
+        print(f"  workers: {len(lanes)} lane(s)")
         for ln in lanes:
-            beat = (
-                f"last heartbeat {max(now - ln.last_beat, 0.0):.1f}s ago"
-                if ln.last_beat is not None
-                else "no heartbeat seen"
+            seen = (
+                f"last active {max(now - ln.last_ts, 0.0):.1f}s ago"
+                if ln.last_ts is not None
+                else "no unit yet"
             )
             unit = f" on {ln.unit}" if ln.unit else ""
-            respawn = (
-                f", respawn {ln.respawns_used}" if ln.respawns_used else ""
-            )
             print(
-                f"    [{ln.index}] {ln.worker:22s} "
-                f"{ln.state}{unit} ({beat}{respawn})"
+                f"    [{ln.index}] {ln.worker:22s} {ln.state}{unit} ({seen})"
             )
 
     def verify(self) -> ExitCode:
@@ -841,8 +762,6 @@ def campaign_main(args) -> int:
         unit_timeout_s=args.unit_timeout,
         deadline_s=args.deadline,
         jobs=args.jobs,
-        max_respawns=args.max_respawns,
-        hang_timeout_s=args.hang_timeout,
     )
     if args.action == "resume":
         return int(Orchestrator(args.dir, **supervision).resume())

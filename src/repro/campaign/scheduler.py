@@ -22,82 +22,63 @@ is preserved by splitting *execution order* from *commit order*:
 commit-order loop.  With ``jobs == 1`` no pool exists: each unit
 executes in-process at the moment the orchestrator pulls it, so the
 orchestrator's between-unit checks (deadline, SIGINT, injected crash
-points) still fall *between* executions.  With ``jobs > 1`` the pool is
-*supervised* (:class:`~repro.campaign.supervisor.WorkerSupervisor`):
-dead workers are reaped and respawned up to ``--max-respawns``, their
-in-flight units re-enqueued (unit execution is a pure function of
-identity, so a re-run reproduces the same bytes); hung workers are
-SIGKILLed after a heartbeat deadline; a unit that kills
-``poison_crashes`` consecutive workers is quarantined instead of
-aborting the DAG; and when the respawn budget is spent the scheduler
-degrades to the same lazy in-process step a serial run uses.
+points) still fall *between* executions.  With ``jobs > 1`` the units
+run on a standard-library
+:class:`~concurrent.futures.ProcessPoolExecutor` (fork context).  A
+worker that dies — the OOM killer, an operator's ``kill -9``, the
+``worker-kill`` scenario — breaks the pool; the scheduler then
+*degrades*: it keeps every result already received, says so once (a
+stderr line and a live ``pool-degraded`` record), and runs every
+unsettled unit through the same in-process step ``--jobs 1`` uses.
+Unit execution is a pure function of the unit's identity, so the
+degraded run commits the same bytes as a clean one.
 
 In-process, only a :class:`ReproError` becomes a FAILED outcome;
 ``KeyboardInterrupt`` and any other exception propagate with their own
 type.  A worker that ships a ``crashed`` status — its unit raised an
 unexpected non-:class:`ReproError` exception — aborts the campaign with
 :class:`~repro.errors.WorkerCrashError`: the same bug would be fatal
-in-process, and respawning would only re-crash on the same code path.
+in-process.
 
 Units execute in the worker exactly as they do in-process: a fresh
 :class:`~repro.faults.ExecutionContext` and telemetry session per unit,
 fault plans and noise that are pure functions of ``(scenario, seed,
 system)``.  Per-unit payloads are merged by the orchestrator with the
 same content-sorted rules the profiler uses, so N workers produce the
-same aggregate metrics as one.
-
-Workers are forked before any queue traffic starts (so the parent is
-still effectively single-threaded) and communicate over
-``multiprocessing`` queues; results cross the pipe as plain dicts and
-pre-formatted error strings — exceptions never need to pickle.
-Process-level fault plans (:class:`~repro.faults.WorkerFaultPlan`) are
-applied *inside* the worker loop only, so the in-process step can never
-SIGKILL the orchestrator.
+same aggregate metrics as one.  Results cross the pipe as plain dicts
+and pre-formatted error strings — exceptions never need to pickle.
+Each result also carries its worker's index and the unit's wall start
+and end, from which the parent writes the live ``unit-dispatched`` /
+``unit-completed`` records that ``campaign watch`` folds into lanes.
+Process-level fault plans (:class:`~repro.faults.WorkerFaultPlan`) fire
+inside pool workers only, so the in-process step can never SIGKILL the
+orchestrator.
 """
 
 from __future__ import annotations
 
 import os
 import signal
+import sys
 import time
 from dataclasses import dataclass
 
 from ..errors import CampaignError, ReproError, WorkerCrashError
 from .spec import CampaignSpec
-from .supervisor import (
-    DEFAULT_MAX_RESPAWNS,
-    HEARTBEAT,
-    SupervisionStats,
-    WorkerSupervisor,
-)
-from .units import (
-    apply_watchdog,
-    execute_unit,
-    failure_payload,
-    format_error,
-    quarantine_payload,
-)
+from .units import apply_watchdog, execute_unit, failure_payload, format_error
 
 __all__ = [
     "JOBS_ENV",
     "DagScheduler",
     "UnitOutcome",
     "resolve_jobs",
-    "scheduler_selfcheck",
 ]
 
 #: Environment fallback for ``--jobs`` (CLI flag wins when given).
 JOBS_ENV = "CAMPAIGN_JOBS"
 
-#: Consecutive worker crashes on one unit before quarantine (mirrors
-#: :data:`repro.faults.DEFAULT_POISON_CRASHES`; duplicated here so the
-#: campaign package does not import the faults package at module scope).
-DEFAULT_POISON_CRASHES = 3
-
-#: Ceiling on an injected hang: a hung worker the supervisor somehow
-#: never kills (supervision disabled, parent died) exits on its own
-#: rather than lingering forever.
-_HANG_CAP_S = 120.0
+#: Per-process state of a pool worker, set by :func:`_init_worker`.
+_WORKER: dict = {}
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -125,72 +106,65 @@ class UnitOutcome:
     payload: dict
     error: str | None = None  # set -> journal as unit-failed
     watchdog: str | None = None  # set -> demoted by the simulated watchdog
-    quarantined: tuple[int, ...] | None = None  # worker exit codes
 
 
-def _worker_loop(
-    index, task_q, result_q, scenario, seed, profile, faults,
-    traceparent=None,
-) -> None:
-    """Worker process body: execute units until the ``None`` sentinel.
+def _init_worker(counter, faults, traceparent) -> None:
+    """Pool initializer: number this worker and set its process state.
 
-    On pickup the worker heartbeats ``(HEARTBEAT, index, unit_id)`` so
-    the supervisor can tell "still computing" from "hung".  Results are
-    ``(unit_id, status, data)`` tuples where *status* is ``"ok"`` (data
-    = payload dict), ``"failed"`` (data = formatted
-    :class:`ReproError`, journalled as unit-failed) or ``"crashed"``
-    (data = formatted unexpected exception, fatal to the campaign —
-    exactly as it would be in-process).
-
-    *faults* is an optional :class:`~repro.faults.WorkerFaultPlan`;
-    scheduled kills/hangs fire here, keyed on the supervisor-assigned
-    attempt number, so "crash twice then succeed" is expressible.
-
-    *traceparent* is the originating service request's trace context;
-    exported into this process's environment so anything the unit
-    touches (nested tooling, diagnostics) can attribute itself to the
-    request that caused the work.  Never influences results — the
-    payloads stay byte-identical traced or not.
+    *counter* is a shared integer; each worker takes the next index, so
+    a pool of N workers holds indices ``0..N-1``.  SIGINT is ignored (a
+    terminal Ctrl-C reaches the orchestrator, which journals the
+    interrupt and shuts the pool down) and SIGTERM is reset to its
+    default, so the executor can terminate a worker that inherited the
+    orchestrator's handlers.  *faults* is the optional
+    :class:`~repro.faults.WorkerFaultPlan`.  *traceparent* is the
+    originating service request's trace context, exported into this
+    process's environment so anything the unit touches can attribute
+    itself to that request; it never influences results.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    with counter.get_lock():
+        _WORKER["index"] = counter.value
+        counter.value += 1
+    _WORKER["faults"] = faults
     if traceparent:
         from ..obs.requests import TRACEPARENT_ENV
 
         os.environ[TRACEPARENT_ENV] = traceparent
-    while True:
-        task = task_q.get()
-        if task is None:
-            return
-        unit, deps, attempt = task
-        result_q.put((HEARTBEAT, index, unit.id))
-        if faults is not None:
-            if faults.should_hang(unit.id, attempt):
-                deadline = time.monotonic() + _HANG_CAP_S
-                while time.monotonic() < deadline:  # pragma: no branch
-                    time.sleep(0.1)
-                os._exit(1)  # pragma: no cover - supervisor kills us first
-            if faults.kill_point(unit.id, attempt) == "start":
-                os.kill(os.getpid(), signal.SIGKILL)
-        try:
-            payload = execute_unit(unit, scenario, seed, deps, profile)
-        except KeyboardInterrupt:  # pragma: no cover - signal timing
-            return
-        except ReproError as exc:
-            result_q.put((unit.id, "failed", format_error(exc)))
-        except BaseException as exc:  # noqa: BLE001 - shipped to parent
-            result_q.put((unit.id, "crashed", format_error(exc)))
-        else:
-            result_q.put((unit.id, "ok", payload))
-            if faults is not None and faults.kill_point(unit.id, attempt) == "done":
-                # Flush the queue's feeder thread before dying, so the
-                # result is on the wire — this is the swallowed-result
-                # race the supervisor's grace drain must win.
-                result_q.close()
-                result_q.join_thread()
-                os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _pool_unit(unit, deps, scenario, seed, profile) -> tuple:
+    """Pool task: execute one unit in a worker.
+
+    Returns ``(index, start_ts, end_ts, status, data)``: the worker's
+    index, the unit's wall-clock start and end, and a *status* of
+    ``"ok"`` (data = payload dict), ``"failed"`` (data = formatted
+    :class:`ReproError`, journalled as unit-failed) or ``"crashed"``
+    (data = formatted unexpected exception, fatal to the campaign —
+    exactly as it would be in-process).
+    """
+    start = time.time()
+    faults = _WORKER["faults"]
+    if faults is not None and faults.kill == unit.id:
+        os.kill(os.getpid(), signal.SIGKILL)
+    try:
+        payload = execute_unit(unit, scenario, seed, deps, profile)
+    except ReproError as exc:
+        status, data = "failed", format_error(exc)
+    except Exception as exc:  # noqa: BLE001 - shipped to parent
+        status, data = "crashed", format_error(exc)
+    else:
+        status, data = "ok", payload
+    return _WORKER["index"], start, time.time(), status, data
+
+
+def _log(message: str) -> None:
+    print(f"campaign: {message}", file=sys.stderr)
 
 
 class DagScheduler:
-    """Runs units in-process or on a supervised pool; yields topo order."""
+    """Runs units in-process or on a process pool; yields topo order."""
 
     def __init__(
         self,
@@ -202,9 +176,6 @@ class DagScheduler:
         jobs: int,
         unit_timeout_s: float | None = None,
         preloaded: dict[str, dict] | None = None,
-        max_respawns: int | None = None,
-        poison_crashes: int | None = None,
-        hang_timeout_s: float | None = None,
         worker_faults=None,
         log=None,
         events=None,
@@ -217,106 +188,122 @@ class DagScheduler:
         self.jobs = jobs
         self.unit_timeout_s = unit_timeout_s
         self.preloaded = dict(preloaded or {})
-        self.max_respawns = (
-            DEFAULT_MAX_RESPAWNS if max_respawns is None else max_respawns
-        )
-        self.poison_crashes = (
-            DEFAULT_POISON_CRASHES if poison_crashes is None else poison_crashes
-        )
-        self.hang_timeout_s = hang_timeout_s
         self.worker_faults = worker_faults
-        self.log = log
+        self.log = log if log is not None else _log
         self.events = events  # optional EventBus for live worker telemetry
         self.traceparent = traceparent  # originating request, if any
-        self.stats = SupervisionStats()
+        #: True once a worker death sent the run to the in-process step.
+        self.degraded = False
         self.pending = tuple(
             u for u in spec.execution_order() if u.id not in self.preloaded
         )
+
+    def _live(self, etype: str, **fields) -> None:
+        if self.events is not None:
+            self.events.live(etype, **fields)
 
     # ------------------------------------------------------------------
 
     def outcomes(self):
         """Generator of :class:`UnitOutcome` in topological order.
 
-        Without a pool (``jobs == 1``, or once a pool degrades) a unit
+        Without a pool (``jobs == 1``, or once the pool broke) a unit
         executes in-process only when it is pulled.  Closing the
-        generator (or letting an exception escape) tears any pool down;
-        workers are daemonic, so even an unclean parent exit cannot
-        leak them.
+        generator (or letting an exception escape) shuts any pool down
+        and waits for its workers.
         """
         payloads = dict(self.preloaded)
         ready: dict[str, UnitOutcome] = {}
-        submitted: set[str] = set()
-        pool = None
-        if self.jobs > 1 and self.pending:
-            pool = WorkerSupervisor(
-                min(self.jobs, len(self.pending)),
-                worker_body=_worker_loop,
-                worker_args=(
-                    self.scenario,
-                    self.seed,
-                    self.profile,
-                    self.worker_faults,
-                    self.traceparent,
-                ),
-                max_respawns=self.max_respawns,
-                poison_crashes=self.poison_crashes,
-                hang_timeout_s=self.hang_timeout_s,
-                stats=self.stats,
-                events=self.events,
-                **({"log": self.log} if self.log is not None else {}),
-            )
-            pool.start()
-        draining = pool is None
 
         def settle(outcome: UnitOutcome) -> None:
             ready[outcome.unit.id] = outcome
             payloads[outcome.unit.id] = outcome.payload
 
-        def submit_ready() -> None:
-            for unit in self.pending:
-                if unit.id in submitted:
-                    continue
-                if all(d in payloads for d in unit.deps):
-                    submitted.add(unit.id)
-                    pool.submit(unit, {d: payloads[d] for d in unit.deps})
+        pool = None
+        if self.jobs > 1 and self.pending:
+            from concurrent.futures import FIRST_COMPLETED, wait
+            from concurrent.futures.process import BrokenProcessPool
+
+            pool = self._start_pool()
+            running: dict = {}  # future -> unit
+            submitted: set[str] = set()
+
+            def submit_ready() -> None:
+                for unit in self.pending:
+                    if unit.id in submitted:
+                        continue
+                    if all(d in payloads for d in unit.deps):
+                        submitted.add(unit.id)
+                        deps = {d: payloads[d] for d in unit.deps}
+                        future = pool.submit(
+                            _pool_unit, unit, deps,
+                            self.scenario, self.seed, self.profile,
+                        )
+                        running[future] = unit
 
         try:
-            if pool is not None:
-                submit_ready()
             for unit in self.pending:
-                while not draining and unit.id not in ready:
-                    event = pool.next_event()
-                    if event[0] == "degraded":
-                        draining = True
-                        continue
-                    settle(self._pool_outcome(event))
-                    submit_ready()
+                while pool is not None and unit.id not in ready:
+                    try:
+                        submit_ready()
+                        done, _ = wait(running, return_when=FIRST_COMPLETED)
+                        for future in done:
+                            settle(self._pool_outcome(
+                                running.pop(future), future.result()
+                            ))
+                    except BrokenProcessPool:
+                        self._degrade(pool, running, settle)
+                        pool = None
                 if unit.id not in ready:
                     settle(self._run_in_process(unit, payloads))
                 yield ready.pop(unit.id)
         finally:
             if pool is not None:
-                pool.shutdown()
+                pool.shutdown(cancel_futures=True)
 
-    def _pool_outcome(self, event: tuple) -> UnitOutcome:
-        """The outcome a supervisor result or quarantine event carries."""
-        if event[0] == "quarantined":
-            _, unit, codes = event
-            payload = quarantine_payload(unit, codes)
-            return UnitOutcome(
-                unit,
-                payload,
-                error=payload["error"],
-                quarantined=tuple(int(c) for c in codes),
+    def _start_pool(self):
+        """A fork pool of ``min(jobs, pending)`` indexed workers."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        ctx = multiprocessing.get_context("fork")
+        workers = min(self.jobs, len(self.pending))
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=ctx,
+            initializer=_init_worker,
+            initargs=(ctx.Value("i", 0), self.worker_faults, self.traceparent),
+        )
+        for index in range(workers):
+            self._live(
+                "worker-spawn", worker=f"campaign-worker-{index}", index=index
             )
-        _, uid, status, data = event
-        unit = self.spec.unit(uid)
+        return pool
+
+    def _degrade(self, pool, running: dict, settle) -> None:
+        """Keep the results already received, then drop the broken pool."""
+        for future, unit in running.items():
+            received = future.done() and not future.cancelled()
+            if received and future.exception() is None:
+                settle(self._pool_outcome(unit, future.result()))
+        running.clear()
+        pool.shutdown(cancel_futures=True)
+        self.degraded = True
+        self.log(
+            "a pool worker died; running the remaining units in-process"
+        )
+        self._live("pool-degraded")
+
+    def _pool_outcome(self, unit, result: tuple) -> UnitOutcome:
+        """The outcome a worker's result tuple carries."""
+        index, start, end, status, data = result
+        self._live("unit-dispatched", ts=start, unit=unit.id, index=index)
+        self._live("unit-completed", ts=end, unit=unit.id, status=status)
         if status == "ok":
             return self._done(unit, data)
         if status == "failed":
             return UnitOutcome(unit, failure_payload(unit, data), error=data)
-        raise WorkerCrashError(f"unit {uid!r} crashed in a worker: {data}")
+        raise WorkerCrashError(f"unit {unit.id!r} crashed in a worker: {data}")
 
     def _run_in_process(self, unit, payloads: dict) -> UnitOutcome:
         """Execute *unit* in this process: the serial and degraded step.
@@ -324,10 +311,7 @@ class DagScheduler:
         Worker fault plans never fire here.  Only a :class:`ReproError`
         becomes a FAILED outcome; anything else propagates unchanged.
         """
-        if self.events is not None:
-            self.events.live(
-                "unit-dispatched", unit=unit.id, index=0, attempt=1
-            )
+        self._live("unit-dispatched", unit=unit.id, index=0)
         deps = {d: payloads[d] for d in unit.deps}
         try:
             payload = execute_unit(
@@ -340,92 +324,11 @@ class DagScheduler:
             )
         else:
             outcome = self._done(unit, payload)
-        if self.events is not None:
-            self.events.live(
-                "unit-completed",
-                unit=unit.id,
-                status=outcome.payload["status"],
-            )
+        self._live(
+            "unit-completed", unit=unit.id, status=outcome.payload["status"]
+        )
         return outcome
 
     def _done(self, unit, payload: dict) -> UnitOutcome:
         note = apply_watchdog(payload, self.unit_timeout_s)
         return UnitOutcome(unit, payload, watchdog=note)
-
-
-# ----------------------------------------------------------------------
-# health selfcheck
-# ----------------------------------------------------------------------
-
-def scheduler_selfcheck():
-    """Supervision invariants for ``pvc-bench health``.
-
-    Runs the smoke spec through a 2-worker pool with a scripted
-    SIGKILL, then asserts the run completed, the supervisor respawned
-    exactly once, nothing was quarantined, and no child process leaked.
-    Lives here (not in :mod:`.supervisor`) because it needs the worker
-    loop and a spec — the supervisor module stays import-light.
-    """
-    from ..faults.process import WorkerFaultPlan
-    from ..hw.selfcheck import CheckResult
-    from .spec import get_spec
-
-    spec = get_spec("smoke")
-    victim = spec.execution_order()[0].id
-    plan = WorkerFaultPlan("worker-kill", 0, kills={victim: (1, "start")})
-    scheduler = DagScheduler(
-        spec,
-        scenario=None,
-        seed=0,
-        profile=False,
-        jobs=2,
-        worker_faults=plan,
-        log=lambda _msg: None,
-    )
-    checks: list = []
-    try:
-        outcomes = list(scheduler.outcomes())
-    except ReproError as exc:  # pragma: no cover - only on regression
-        checks.append(
-            CheckResult("scheduler.survives-worker-death", False, str(exc))
-        )
-        return checks
-    checks.append(
-        CheckResult(
-            "scheduler.survives-worker-death",
-            len(outcomes) == len(spec.execution_order()),
-            f"{len(outcomes)}/{len(spec.execution_order())} units completed "
-            "after an injected worker SIGKILL",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "scheduler.respawn",
-            scheduler.stats.respawns == 1,
-            f"supervisor respawned {scheduler.stats.respawns} worker(s) "
-            "(expected 1)",
-        )
-    )
-    checks.append(
-        CheckResult(
-            "scheduler.no-quarantine",
-            not scheduler.stats.quarantined and not scheduler.stats.degraded,
-            "single crash healed transparently "
-            "(no quarantine, no degradation)",
-        )
-    )
-    import multiprocessing
-
-    leaked = [
-        p
-        for p in multiprocessing.active_children()
-        if p.name.startswith("campaign-worker-")
-    ]
-    checks.append(
-        CheckResult(
-            "scheduler.no-leaked-children",
-            not leaked,
-            f"{len(leaked)} campaign worker(s) left alive after shutdown",
-        )
-    )
-    return checks

@@ -31,7 +31,6 @@ __all__ = [
     "serialize_table",
     "merge_tables",
     "failure_payload",
-    "quarantine_payload",
 ]
 
 UNIT_SCHEMA = "repro.campaign.unit/v1"
@@ -134,24 +133,6 @@ def failure_payload(unit, error: BaseException | str) -> dict:
     )
 
 
-def quarantine_payload(unit, exit_codes: Sequence[int]) -> dict:
-    """The stored record of a poison unit pulled out of the pool.
-
-    Shaped exactly like :func:`failure_payload` (dependents see a FAILED
-    dep, the summary counts a FAILED unit) plus the worker exit codes as
-    provenance — the only campaign artifact allowed to differ from a
-    clean serial run.
-    """
-    codes = [int(c) for c in exit_codes]
-    doc = failure_payload(
-        unit,
-        f"unit quarantined after crashing {len(codes)} worker(s) "
-        f"(exit codes: {', '.join(map(str, codes))})",
-    )
-    doc["quarantined"] = codes
-    return doc
-
-
 def apply_watchdog(payload: dict, unit_timeout_s: float | None) -> str | None:
     """Demote an over-budget payload to FAILED; returns the note, if any.
 
@@ -209,13 +190,9 @@ def _dep_status(payloads: Sequence[dict]) -> CellStatus:
 def _execute_render(unit, dep_payloads: Sequence[dict]) -> dict:
     missing = [d["unit"] for d in dep_payloads if "table" not in d]
     if missing:
-        quarantined = [d["unit"] for d in dep_payloads if d.get("quarantined")]
-        provenance = (
-            f" ({', '.join(quarantined)} quarantined)" if quarantined else ""
-        )
         raise CampaignError(
             f"render unit {unit.id!r} cannot run: dependencies "
-            f"{', '.join(missing)} produced no cells{provenance}"
+            f"{', '.join(missing)} produced no cells"
         )
     title, _ = TABLE_DRIVERS[unit.table]
     table = merge_tables(title, [d["table"] for d in dep_payloads])

@@ -38,7 +38,7 @@ Crash-safe campaigns (write-ahead journal + checkpoint/resume)::
     pvc-bench campaign run    --dir out --spec paper
     pvc-bench campaign run    --dir out --spec smoke --inject crash-midrun
     pvc-bench campaign run    --dir out --spec smoke --jobs 4 \\
-        --inject worker-kill --max-respawns 8      # self-healing pool
+        --inject worker-kill                       # worker death heals
     pvc-bench campaign resume --dir out
     pvc-bench campaign status --dir out
     pvc-bench campaign verify --dir out
@@ -310,14 +310,11 @@ def _cmd_trace(ctx: ExecutionContext, args) -> None:
 
 #: Counters always present in the ``metrics`` scrape, even at zero:
 #: dashboards alert on their absence, so a run that never touched the
-#: sim cache or never respawned a worker still exports the series.
+#: sim cache still exports the series.
 _DECLARED_COUNTERS = (
     ("simcache.hit", "sim memo cache hits"),
     ("simcache.miss", "sim memo cache misses"),
     ("simcache.bypass", "sim memo cache bypasses (uncacheable plans)"),
-    ("worker.respawns", "campaign workers respawned by the supervisor"),
-    ("unit.quarantined", "campaign units quarantined as poison"),
-    ("scheduler.degraded", "campaigns degraded to in-process draining"),
 )
 
 
@@ -361,7 +358,6 @@ def _print_check(label: str, check) -> None:
 
 
 def _cmd_health(ctx: ExecutionContext, args) -> None:
-    from .campaign.scheduler import scheduler_selfcheck
     from .core.result import CellStatus
     from .hw.selfcheck import node_health
     from .hw.systems import get_system
@@ -382,7 +378,6 @@ def _cmd_health(ctx: ExecutionContext, args) -> None:
         print()
     for label, selfcheck in (
         ("profiler", profiler_selfcheck),
-        ("scheduler", scheduler_selfcheck),
         ("service", service_selfcheck),
     ):
         checks = selfcheck()
@@ -758,23 +753,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             metavar="N",
             help="execute independent units on N worker processes "
-            "(artifacts stay byte-identical to a serial run); defaults "
-            "to $CAMPAIGN_JOBS, else 1 (serial)",
-        )
-        sub.add_argument(
-            "--max-respawns",
-            type=int,
-            metavar="N",
-            help="with --jobs > 1: worker respawn budget before the "
-            "scheduler degrades to in-process draining (default: 8)",
-        )
-        sub.add_argument(
-            "--hang-timeout",
-            type=float,
-            metavar="SECONDS",
-            help="with --jobs > 1: SIGKILL a worker whose unit produces "
-            "no heartbeat for this long and treat it as a crash "
-            "(default: disabled, except under --inject worker-hang)",
+            "(artifacts stay byte-identical to a serial run; a worker "
+            "death runs the rest in-process); defaults to $CAMPAIGN_JOBS, "
+            "else 1 (serial)",
         )
     watch = campaign.add_parser("watch", help="live status board")
     watch.add_argument("rundir", help="campaign run directory")

@@ -94,15 +94,13 @@ class CampaignError(ReproError):
 
 
 class WorkerCrashError(CampaignError):
-    """A campaign worker process failed in a way supervision cannot heal.
+    """A unit's code raised an unexpected exception inside a pool worker.
 
-    Raised when a unit's code raised an unexpected (non-:class:`ReproError`)
-    exception inside a worker — the same bug would be fatal in-process, so
-    respawning the worker would only crash it again — or when the
-    supervisor's own invariants are violated.  Dead or hung workers do
-    *not* raise this: the :class:`~repro.campaign.supervisor.WorkerSupervisor`
-    respawns them, re-enqueues their in-flight units, and quarantines
-    units that keep killing workers.
+    Only a non-:class:`ReproError` exception raises this — the same bug
+    would be fatal in-process, so re-running the unit could not heal it.
+    A dead worker does *not* raise this: the scheduler
+    (:mod:`repro.campaign.scheduler`) runs the units the broken pool
+    still held through its in-process step instead.
     """
 
 

@@ -22,18 +22,12 @@ code  name                    meaning
 Codes 0-2 deliberately coincide with the pre-existing fault-injection
 contract (clean / degraded / failed), so older scripts keep working.
 
-Worker supervision (PR 6) adds no new codes — it folds into the table:
-
-* a *quarantined* unit (journalled ``unit-quarantined`` after crashing
-  K consecutive workers) stores a FAILED payload, so a campaign that
-  quarantined anything completes with code 2 (UNHEALTHY), exactly as if
-  the unit had failed in-process; the DAG still finishes;
-* a scheduler that exhausted its respawn budget *degrades* to an
-  in-process serial drain and completes with whatever status the units
-  earn — degradation itself is reported via the ``scheduler.degraded``
-  metric and the manifest's ``supervision`` block, not the exit code;
-* transparently healed faults (worker respawns, hang kills, transient
-  ENOSPC absorbed by the bounded IO retry) never affect the exit code.
+The campaign process pool adds no codes: a worker death *degrades*
+the run to the in-process step, which completes with whatever status
+the units earn (reported on stderr and in the live stream, never in
+the exit code), and transient ENOSPC absorbed by the bounded IO retry
+never affects it either.  A legacy ``unit-quarantined`` journal record
+carries a FAILED payload, so it counts like ``unit-failed`` (code 2).
 """
 
 from __future__ import annotations

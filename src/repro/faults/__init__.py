@@ -10,9 +10,9 @@ The subsystem has three layers:
   a plan to a node as the suite's clocks advance, consulted by the
   performance engine, the SYCL/Level-Zero runtimes and the MPI layer;
 * :mod:`repro.faults.process` — process-level campaign chaos
-  (:class:`WorkerFaultPlan`): SIGKILLed workers, hung workers, and
-  transient ``ENOSPC`` on journal/store writes, consumed by the campaign
-  worker supervisor rather than the in-process engine;
+  (:class:`WorkerFaultPlan`): a SIGKILLed pool worker and transient
+  ``ENOSPC`` on journal/store writes, consumed by the campaign scheduler
+  and orchestrator rather than the in-process engine;
 * :mod:`repro.faults.service` — service-level chaos
   (:class:`ServiceFaultPlan`): request storms, slow-loris clients,
   cache corruption and daemon SIGKILLs, consumed by the benchmark
@@ -25,13 +25,7 @@ the CLI's exit-code contract (0 clean / 1 degraded / 2 failed).
 from .context import ExecutionContext
 from .injectors import FaultInjector
 from .plan import FaultClock, FaultEvent, FaultKind, FaultPlan, SeededDraw
-from .process import (
-    DEFAULT_POISON_CRASHES,
-    KILL_POINTS,
-    WORKER_SCENARIO_NAMES,
-    WorkerFaultPlan,
-    build_worker_plan,
-)
+from .process import WORKER_SCENARIO_NAMES, WorkerFaultPlan, build_worker_plan
 from .service import (
     SERVICE_SCENARIO_NAMES,
     ServiceFaultPlan,
@@ -59,8 +53,6 @@ __all__ = [
     "CampaignFaultPlan",
     "build_campaign_plan",
     "build_plan",
-    "DEFAULT_POISON_CRASHES",
-    "KILL_POINTS",
     "WORKER_SCENARIO_NAMES",
     "WorkerFaultPlan",
     "build_worker_plan",

@@ -81,8 +81,7 @@ _sleep = time.sleep
 #: let the retry through (a *transient* fault).
 _io_fault_gate = None
 
-#: Retries performed since the last reset (observability for tests and
-#: the campaign supervisor's degraded-mode reporting).
+#: Retries performed since the last reset (observability for tests).
 _io_retries = 0
 
 

@@ -3,7 +3,7 @@
 Four pieces layered over the telemetry/campaign/profiler stack:
 
 * :mod:`repro.obs.events` — the structured event bus: every layer
-  (orchestrator commits, supervisor respawns/heartbeats, memo-cache
+  (orchestrator commits, pool dispatches and degradation, memo-cache
   accounting, fault injections, profiler attribution) publishes typed
   NDJSON records into the run directory.  The deterministic stream
   (``events.ndjson``) is stamped with the simulated clock and is
@@ -11,7 +11,7 @@ Four pieces layered over the telemetry/campaign/profiler stack:
   (``live.ndjson``) carries wall-clock worker telemetry for watching.
 * :mod:`repro.obs.watch` — ``pvc-bench campaign watch <rundir>``: a
   status board tailing the journal + event streams from another
-  process, with per-worker lanes, cache hit rate, quarantines and ETA.
+  process, with per-worker lanes, cache hit rate, faults and ETA.
 * :mod:`repro.obs.export` — Chrome-trace-event/Perfetto export of a
   run's unit spans with worker lanes, and the OpenMetrics snapshot the
   ``obs serve`` stdlib HTTP exporter publishes.

@@ -10,10 +10,10 @@ Two append-only streams live next to the campaign journal:
   however the run was parallelised — the CI ``obs-smoke`` job ``cmp``\\ s
   a ``--jobs 4`` stream against the serial golden.
 * ``live.ndjson`` — the **live** stream.  Worker-pool telemetry
-  (spawns, dispatches, heartbeats, respawns, hang kills, degradation)
-  stamped with ``time.time()``; explicitly excluded from the
-  determinism guarantee and consumed by ``campaign watch`` /
-  ``campaign status`` for lanes, heartbeat ages and ETA.
+  (spawns, per-unit dispatch and completion, pool degradation) stamped
+  with wall-clock time; explicitly excluded from the determinism
+  guarantee and consumed by ``campaign watch`` / ``campaign status``
+  for lanes, last activity and ETA.
 
 Every record is one JSON object per line with ``v`` (schema version)
 and ``type``; :func:`validate_event` checks a record against the typed
@@ -84,18 +84,9 @@ DETERMINISTIC_EVENTS: dict[str, dict[str, type | tuple[type, ...]]] = {
 LIVE_EVENTS: dict[str, dict[str, type | tuple[type, ...]]] = {
     "run-live": {"jobs": int, "pid": int, "units": int},
     "worker-spawn": {"worker": str, "index": int},
-    "unit-dispatched": {"unit": str, "index": int, "attempt": int},
-    "worker-heartbeat": {"index": int, "unit": str},
+    "unit-dispatched": {"unit": str, "index": int},
     "unit-completed": {"unit": str, "status": str},
-    "worker-exit": {
-        "worker": str,
-        "exitcode": (int, type(None)),
-        "unit": (str, type(None)),
-    },
-    "worker-respawn": {"worker": str, "replaces": str, "respawns_used": int},
-    "worker-hang-kill": {"worker": str, "unit": str},
     "pool-degraded": {},
-    "quarantine": {"unit": str, "exit_codes": list},
     # Benchmark-service telemetry (repro.service.daemon): the daemon's
     # state directory carries the same live stream as a campaign dir,
     # so watch-style tooling and the smoke jobs tail one format.

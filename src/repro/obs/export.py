@@ -5,9 +5,9 @@ Two consumers, one source of truth (:mod:`.events`):
 * :func:`export_chrome` turns a run directory into the standard
   ``chrome://tracing`` / Perfetto trace-event JSON by replaying the
   streams through :class:`repro.telemetry.trace.Tracer`.  A run with a
-  live stream gets one lane per worker with wall-clock dispatch →
-  completion spans plus instants for deaths, respawns, hang kills,
-  quarantines and degradation; a deterministic-only directory (old
+  live stream gets one lane per worker with wall-clock start → end
+  spans per unit, plus a ``pool-degraded`` instant when a worker death
+  sent the run to the in-process step; a deterministic-only directory (old
   runs, stripped archives) degrades to a single commit lane on the
   simulated clock with fault-injection instants.
 * :func:`run_registry` folds the deterministic stream into a
@@ -71,7 +71,7 @@ def _live_trace(
         return (ts - t0) * 1e6
 
     lane_of: dict[int, str] = {}
-    open_spans: dict[str, tuple[str, float, int, dict]] = {}
+    open_spans: dict[str, tuple[str, float, dict]] = {}
 
     def lane(index: int) -> str:
         if index not in lane_of:
@@ -90,7 +90,7 @@ def _live_trace(
                 "worker-spawn",
                 name,
                 ts_us=us(rec["ts"]),
-                category="supervision",
+                category="pool",
                 worker=rec["worker"],
             )
         elif etype == "unit-dispatched":
@@ -100,14 +100,9 @@ def _live_trace(
             extra = (
                 {"trace_id": rec["trace_id"]} if "trace_id" in rec else {}
             )
-            open_spans[rec["unit"]] = (
-                lane(rec["index"]),
-                rec["ts"],
-                rec["attempt"],
-                extra,
-            )
+            open_spans[rec["unit"]] = (lane(rec["index"]), rec["ts"], extra)
         elif etype == "unit-completed" and rec["unit"] in open_spans:
-            span_lane, start_ts, attempt, extra = open_spans.pop(rec["unit"])
+            span_lane, start_ts, extra = open_spans.pop(rec["unit"])
             tracer.complete(
                 rec["unit"],
                 span_lane,
@@ -115,31 +110,17 @@ def _live_trace(
                 start_us=us(start_ts),
                 category="unit",
                 status=rec["status"],
-                attempt=attempt,
                 **extra,
             )
-        elif etype in (
-            "worker-exit",
-            "worker-respawn",
-            "worker-hang-kill",
-            "quarantine",
-            "pool-degraded",
-        ):
-            target = tracer.lane(f"{prefix}supervisor", (group - 1, 0, 0))
-            if etype in ("worker-exit", "worker-hang-kill"):
-                # Anchor the death marker on the lane that died; worker
-                # names end in the spawn index ("campaign-worker-3").
-                suffix = rec.get("worker", "").rsplit("-", 1)[-1]
-                if suffix.isdigit() and int(suffix) in lane_of:
-                    target = lane_of[int(suffix)]
+        elif etype == "pool-degraded":
             args = {
                 k: v for k, v in rec.items() if k not in ("v", "type", "ts")
             }
             tracer.instant(
                 etype,
-                target,
+                tracer.lane(f"{prefix}pool", (group - 1, 0, 0)),
                 ts_us=us(rec["ts"]),
-                category="supervision",
+                category="pool",
                 **args,
             )
 
@@ -416,13 +397,6 @@ def run_registry(rundir: str | os.PathLike) -> MetricsRegistry:
         elif etype == "campaign-done":
             registry.set_gauge("campaign.complete", 1.0)
         registry.set_gauge("campaign.simulated_seconds", rec["sim_us"] / 1e6)
-    for rec in read_events(os.path.join(rundir, LIVE_FILE)):
-        if rec["type"] == "worker-respawn":
-            registry.inc("worker.respawns")
-        elif rec["type"] == "worker-hang-kill":
-            registry.inc("worker.hang_kills")
-        elif rec["type"] == "quarantine":
-            registry.inc("unit.quarantined", 1, unit=rec["unit"])
     return registry
 
 

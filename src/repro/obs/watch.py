@@ -10,13 +10,12 @@ last line in any stream is simply not yet visible.
 Three layers:
 
 * :func:`worker_lanes` folds the live stream into per-worker lanes
-  (RUNNING / IDLE / DEAD / RESPAWNED / HUNG, in-flight unit, last
-  heartbeat, respawn provenance).  ``campaign status`` reuses this for
-  its per-worker heartbeat-age lines.
+  (RUNNING / IDLE, unit in hand, last activity).  ``campaign status``
+  reuses this for its per-worker lines.
 * :func:`load_snapshot` combines journal + deterministic events + lanes
   into one :class:`RunSnapshot`.
 * :func:`render` draws the board.  It takes ``now`` explicitly so the
-  crashed/quarantined/degraded golden tests are reproducible without a
+  crashed/interrupted/degraded golden tests are reproducible without a
   live process; :func:`follow` loops it until ``campaign-done``
   appears (or immediately degrades to a final snapshot when the run is
   already complete).
@@ -54,76 +53,48 @@ class WorkerLane:
 
     index: int
     worker: str
-    state: str = "IDLE"  # RUNNING | IDLE | DEAD | RESPAWNED | HUNG
+    state: str = "IDLE"  # RUNNING | IDLE
     unit: str | None = None
-    attempt: int = 1
-    last_beat: float | None = None
-    dispatched_ts: float | None = None
-    respawns_used: int = 0
-    exitcode: int | None = None
+    last_ts: float | None = None
 
 
 def worker_lanes(live_records: list[dict]) -> list[WorkerLane]:
-    """Fold the live stream into per-worker lanes, oldest lane first.
+    """Fold the live stream into per-worker lanes, in index order.
 
-    A respawned worker gets its own lane (worker indices are never
-    reused); the lane it replaces is marked RESPAWNED so the board
-    shows the whole supervision history, not just the survivors.
-    Serial runs (``run-live`` with ``jobs=1``) get a single synthetic
-    ``serial`` lane fed by the orchestrator's own dispatch records.
+    A pool run announces one ``worker-spawn`` per worker, so every
+    worker has a lane even if it never got a unit.  Serial runs
+    (``run-live`` with ``jobs=1``) get a single synthetic ``serial``
+    lane fed by the orchestrator's own dispatch records.
     """
     lanes: dict[int, WorkerLane] = {}
-    by_name: dict[str, WorkerLane] = {}
 
     def lane(index: int) -> WorkerLane:
         if index not in lanes:
-            lanes[index] = WorkerLane(index=index, worker=f"worker-{index}")
+            lanes[index] = WorkerLane(
+                index=index, worker=f"campaign-worker-{index}"
+            )
         return lanes[index]
 
     for rec in live_records:
         etype = rec["type"]
         if etype == "worker-spawn":
-            ln = WorkerLane(index=rec["index"], worker=rec["worker"])
-            lanes[rec["index"]] = ln
-            by_name[rec["worker"]] = ln
+            lanes[rec["index"]] = WorkerLane(
+                index=rec["index"], worker=rec["worker"]
+            )
         elif etype == "run-live" and rec["jobs"] == 1:
-            ln = WorkerLane(index=0, worker="serial")
-            lanes[0] = ln
-            by_name["serial"] = ln
+            lanes[0] = WorkerLane(index=0, worker="serial")
         elif etype == "unit-dispatched":
             ln = lane(rec["index"])
             ln.unit = rec["unit"]
             ln.state = "RUNNING"
-            ln.attempt = rec["attempt"]
-            ln.dispatched_ts = rec["ts"]
-            ln.last_beat = rec["ts"]
-        elif etype == "worker-heartbeat":
-            ln = lane(rec["index"])
-            ln.last_beat = rec["ts"]
+            ln.last_ts = rec["ts"]
         elif etype == "unit-completed":
             for ln in lanes.values():
                 if ln.unit == rec["unit"] and ln.state == "RUNNING":
                     ln.unit = None
                     ln.state = "IDLE"
-                    ln.last_beat = rec["ts"]
+                    ln.last_ts = rec["ts"]
                     break
-        elif etype == "worker-hang-kill":
-            ln = by_name.get(rec["worker"])
-            if ln is not None:
-                ln.state = "HUNG"
-        elif etype == "worker-exit":
-            ln = by_name.get(rec["worker"])
-            if ln is not None:
-                ln.state = "DEAD"
-                ln.exitcode = rec["exitcode"]
-                ln.unit = rec["unit"]
-        elif etype == "worker-respawn":
-            old = by_name.get(rec["replaces"])
-            if old is not None:
-                old.state = "RESPAWNED"
-            new = by_name.get(rec["worker"])
-            if new is not None:
-                new.respawns_used = rec["respawns_used"]
     return [lanes[i] for i in sorted(lanes)]
 
 
@@ -136,7 +107,6 @@ class RunSnapshot:
     scenario: str | None
     seed: int
     unit_states: dict[str, str]
-    quarantined: dict[str, list]
     lanes: list[WorkerLane] = field(default_factory=list)
     jobs: int | None = None
     pid: int | None = None
@@ -193,12 +163,8 @@ def load_snapshot(rundir: str | os.PathLike) -> RunSnapshot:
     unit_states: dict[str, str] = {
         uid: "pending" for uid in config.get("units", [])
     }
-    quarantined: dict[str, list] = {}
     for rec in journal.records:
-        if rec["type"] == "unit-quarantined":
-            unit_states[rec["unit"]] = "QUARANTINED"
-            quarantined[rec["unit"]] = rec.get("exit_codes", [])
-        elif rec["type"] in ("unit-done", "unit-failed"):
+        if rec["type"] in ("unit-done", "unit-failed", "unit-quarantined"):
             unit_states[rec["unit"]] = rec["status"]
         elif (
             rec["type"] == "unit-start"
@@ -211,7 +177,6 @@ def load_snapshot(rundir: str | os.PathLike) -> RunSnapshot:
         scenario=config["scenario"],
         seed=config["seed"],
         unit_states=unit_states,
-        quarantined=quarantined,
     )
     snap.interrupted = bool(
         journal.of_type("interrupted") or journal.of_type("deadline")
@@ -250,16 +215,9 @@ def _age(ts: float | None, now: float) -> str:
 def _lane_line(ln: WorkerLane, now: float) -> str:
     parts = [f"[{ln.index}] {ln.worker:22s} {ln.state:9s}"]
     if ln.state == "RUNNING" and ln.unit:
-        note = f" (attempt {ln.attempt})" if ln.attempt > 1 else ""
-        parts.append(f"{ln.unit}{note}")
-    elif ln.state in ("DEAD", "RESPAWNED", "HUNG"):
-        held = f" holding {ln.unit}" if ln.unit else ""
-        code = f" exit {ln.exitcode}" if ln.exitcode is not None else ""
-        parts.append(f"{code}{held}".strip())
-    if ln.respawns_used:
-        parts.append(f"[respawn {ln.respawns_used}]")
-    parts.append(f"hb {_age(ln.last_beat, now)}")
-    return "  ".join(p for p in parts if p)
+        parts.append(ln.unit)
+    parts.append(f"active {_age(ln.last_ts, now)}")
+    return "  ".join(parts)
 
 
 def render(snap: RunSnapshot, now: float | None = None) -> str:
@@ -284,7 +242,7 @@ def render(snap: RunSnapshot, now: float | None = None) -> str:
         if snap.pid is not None:
             run += f", pid {snap.pid}"
         if snap.degraded:
-            run += " — POOL DEGRADED (serial in-process drain)"
+            run += " — POOL DEGRADED (a worker died; rest ran in-process)"
         lines.append(run)
     if snap.lanes:
         lines.append("  workers:")
@@ -295,14 +253,10 @@ def render(snap: RunSnapshot, now: float | None = None) -> str:
     summary = ", ".join(f"{n} {s}" for s, n in sorted(counts.items()))
     lines.append(f"  units: {summary}")
     for uid, state in snap.unit_states.items():
-        if state in ("started", "QUARANTINED") or (
+        if state == "started" or (
             state not in ("pending", "OK") and not snap.complete
         ):
-            provenance = ""
-            if uid in snap.quarantined:
-                codes = ", ".join(str(c) for c in snap.quarantined[uid])
-                provenance = f" (worker exit codes: {codes})"
-            lines.append(f"    {uid:24s} {state}{provenance}")
+            lines.append(f"    {uid:24s} {state}")
     rate = snap.cache_hit_rate
     if rate is not None:
         lines.append(
@@ -312,11 +266,6 @@ def render(snap: RunSnapshot, now: float | None = None) -> str:
     if snap.faults:
         lines.append(f"  faults injected: {len(snap.faults)}")
         lines.extend(f"    {note}" for note in snap.faults[-5:])
-    if snap.quarantined:
-        lines.append(
-            f"  {len(snap.quarantined)} unit(s) quarantined after "
-            "repeated worker crashes"
-        )
     if not snap.complete:
         eta = snap.eta_s(now)
         lines.append(

@@ -5,9 +5,11 @@ is decomposed into per-axis value arrays with ``divmod`` array ops
 (last axis fastest, mirroring the spec's declared order), the workload
 family turns the values into :class:`~repro.sim.batch.KernelBatch`
 columns, and one :meth:`~repro.sim.batch.BatchEngine.evaluate` call
-rooflines the whole chunk.  Chunks shard across fork workers
+rooflines the whole chunk.  Chunks shard across a fork process pool
 (``--jobs``) and merge in chunk order, so the artifacts are
-byte-identical to a serial run.
+byte-identical to a serial run; if a worker dies, the chunks the pool
+had not returned are evaluated in-process instead, with the same
+result.
 
 Artifacts (all through the atomic io helpers):
 
@@ -361,6 +363,39 @@ def _chunk_worker(task: tuple) -> dict:
     }
 
 
+def _pool_chunks(tasks: list[tuple], jobs: int) -> list[dict]:
+    """Evaluate *tasks* on a fork pool; results in task order.
+
+    A worker death breaks the pool.  Every result already received is
+    kept and the rest run here through :func:`_chunk_worker`, the step
+    a serial sweep uses, so the results do not change.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    ctx = multiprocessing.get_context("fork")
+    futures = []
+    with ProcessPoolExecutor(min(jobs, len(tasks)), mp_context=ctx) as pool:
+        try:
+            futures.extend(pool.submit(_chunk_worker, task) for task in tasks)
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            pass
+    print(
+        "sweep: a pool worker died; evaluating the remaining chunks "
+        "in-process",
+        file=sys.stderr,
+    )
+    results = [
+        future.result()
+        for future in futures
+        if future.done() and future.exception() is None
+    ]
+    received = {res["chunk"]: res for res in results}
+    return [received.get(task[2]) or _chunk_worker(task) for task in tasks]
+
+
 # ---------------------------------------------------------------------------
 # top-K merge and row reconstruction
 # ---------------------------------------------------------------------------
@@ -568,11 +603,7 @@ def run_sweep(
     with _collector_paused():
         t0 = time.perf_counter()
         if jobs > 1 and len(tasks) > 1:
-            import multiprocessing
-
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
-                chunk_results = pool.map(_chunk_worker, tasks)
+            chunk_results = _pool_chunks(tasks, jobs)
         else:
             chunk_results = [_chunk_worker(task) for task in tasks]
         eval_wall_s = time.perf_counter() - t0

@@ -327,3 +327,66 @@ class TestIdempotentMetricAttribution:
                 remerged.counter(name).total()
                 == merged.counter(name).total()
             ), name
+
+
+def legacy_quarantine_run(directory, monkeypatch, victim="table3:dawn"):
+    """A campaign directory whose journal ends in a ``unit-quarantined``
+    record for *victim*, as the pool wrote before a worker death
+    degraded to the in-process step.  Returns the finished run's exit
+    code and its tables, for comparison after a resume."""
+    import os
+
+    import repro.campaign.scheduler as sched_mod
+    from repro.errors import ReproError
+
+    real = sched_mod.execute_unit
+
+    def failing(unit, scenario, seed, deps, profile=False):
+        if unit.id == victim:
+            raise ReproError("worker exit codes -9, -9, -9")
+        return real(unit, scenario, seed, deps, profile)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sched_mod, "execute_unit", failing)
+        orch = Orchestrator(directory, spec=get_spec("smoke"))
+        code = orch.run()
+    tables = _artifact_bytes(orch)
+    records = Journal.load(orch.journal_path).records
+    os.remove(orch.journal_path)
+    journal = Journal(orch.journal_path)
+    for rec in records:
+        fields = {
+            k: v for k, v in rec.items() if k not in ("v", "type", "sha256")
+        }
+        if rec["type"] == "unit-failed" and rec["unit"] == victim:
+            journal.append(
+                "unit-quarantined", exit_codes=[-9, -9, -9], **fields
+            )
+            break
+        journal.append(rec["type"], **fields)
+    return code, tables
+
+
+class TestLegacyQuarantineRecord:
+    """Journals from before the degrade step may hold ``unit-quarantined``;
+    status, resume and verify read it as ``unit-failed``."""
+
+    def test_status_resume_and_verify_read_it_as_failed(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        directory = tmp_path / "c"
+        code, tables = legacy_quarantine_run(directory, monkeypatch)
+        assert code == ExitCode.UNHEALTHY
+        orch = Orchestrator(directory)
+        assert orch.verify() == ExitCode.INTERRUPTED
+        capsys.readouterr()
+        assert orch.status() == ExitCode.OK
+        out = capsys.readouterr().out
+        assert "table3:dawn" in out and "FAILED" in out
+        # Resume skips the quarantined unit (its FAILED payload stands)
+        # and renders the same tables as the original run.
+        assert Orchestrator(directory).resume() == code
+        resumed = Journal.load(directory / "journal.jsonl").of_type("resume")
+        assert "table3:dawn" in resumed[0]["skipped"]
+        assert _artifact_bytes(Orchestrator(directory)) == tables
+        assert Orchestrator(directory).verify() == ExitCode.OK

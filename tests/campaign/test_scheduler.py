@@ -281,10 +281,10 @@ class TestOneCommitLoop:
     def test_serial_run_starts_no_worker(self, tmp_path, monkeypatch):
         started = []
 
-        def no_supervisor(*args, **kwargs):
-            raise AssertionError("a serial run built a WorkerSupervisor")
+        def no_pool(self):
+            raise AssertionError("a serial run built a process pool")
 
-        monkeypatch.setattr(sched_mod, "WorkerSupervisor", no_supervisor)
+        monkeypatch.setattr(DagScheduler, "_start_pool", no_pool)
         monkeypatch.setattr(
             multiprocessing.process.BaseProcess,
             "start",
@@ -293,7 +293,6 @@ class TestOneCommitLoop:
         orch = Orchestrator(tmp_path / "c", spec=get_spec("smoke"), jobs=1)
         assert orch.run() == ExitCode.OK
         assert started == []
-        assert not orch._supervision.degraded
 
     def test_serial_run_reraises_unexpected_errors_unchanged(
         self, tmp_path, monkeypatch
@@ -356,15 +355,12 @@ class TestOneCommitLoop:
             seed=0,
             profile=False,
             jobs=2,
-            max_respawns=0,
-            worker_faults=WorkerFaultPlan(
-                "worker-poison", 0, kills={victim: (2, "start")}
-            ),
+            worker_faults=WorkerFaultPlan("worker-kill", 0, kill=victim),
             log=lambda _msg: None,
         )
         with pytest.raises(KeyboardInterrupt):
             list(scheduler.outcomes())
-        assert scheduler.stats.degraded
+        assert scheduler.degraded
         assert not multiprocessing.active_children()
 
     def test_interrupt_in_the_degraded_drain_is_resumable(
@@ -372,7 +368,7 @@ class TestOneCommitLoop:
     ):
         clean_code = Orchestrator(tmp_path / "clean", spec=get_spec("smoke")).run()
         victim = get_spec("smoke").execution_order()[0].id
-        plan = WorkerFaultPlan("worker-poison", 0, kills={victim: (2, "start")})
+        plan = WorkerFaultPlan("worker-kill", 0, kill=victim)
         with monkeypatch.context() as patch:
             _interrupt_in_parent(patch)
             orch = Orchestrator(
@@ -380,10 +376,10 @@ class TestOneCommitLoop:
                 spec=get_spec("smoke"),
                 jobs=2,
                 worker_plan=plan,
-                max_respawns=0,
             )
             assert orch.run() == ExitCode.INTERRUPTED
-        assert orch._supervision.degraded
+        live = [rec["type"] for rec in orch.events.live_records()]
+        assert "pool-degraded" in live
         interrupted = Journal.load(orch.journal_path).of_type("interrupted")
         assert [r["during"] for r in interrupted] == [victim]
         assert Orchestrator(tmp_path / "c").resume() == clean_code

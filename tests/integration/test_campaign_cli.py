@@ -209,17 +209,6 @@ class TestWorkerScenarios:
         assert rc == 0
         assert _tree(d) == golden
 
-    def test_worker_hang_with_timeout_heals(self, tmp_path):
-        golden = self._serial(tmp_path)
-        d = tmp_path / "chaos"
-        rc = _run(
-            "campaign", "run", "--dir", str(d), "--spec", "smoke",
-            "--inject", "worker-hang", "--seed", "0", "--jobs", "2",
-            "--hang-timeout", "1",
-        )
-        assert rc == 0
-        assert _tree(d) == golden
-
     def test_io_enospc_is_transparent(self, tmp_path):
         golden = self._serial(tmp_path)
         d = tmp_path / "chaos"
@@ -230,36 +219,16 @@ class TestWorkerScenarios:
         assert rc == 0
         assert _tree(d) == golden
 
-    def test_worker_poison_quarantines_and_status_reports(
-        self, tmp_path, capsys
-    ):
-        d = str(tmp_path / "c")
-        rc = _run(
-            "campaign", "run", "--dir", d, "--spec", "smoke",
-            "--inject", "worker-poison", "--seed", "0", "--jobs", "2",
-        )
-        assert rc == 2
-        capsys.readouterr()
-        assert _run("campaign", "status", "--dir", d) == 0
-        out = capsys.readouterr().out
-        assert "QUARANTINED" in out
-        assert "-9" in out  # SIGKILL provenance surfaces to the operator
-
-    def test_exhausted_respawn_budget_degrades_but_completes(self, tmp_path):
-        d = tmp_path / "c"
-        rc = _run(
-            "campaign", "run", "--dir", str(d), "--spec", "smoke",
-            "--inject", "worker-poison", "--seed", "0", "--jobs", "2",
-            "--max-respawns", "0",
-        )
-        # The in-process drain is fault-free, so the campaign finishes
-        # cleanly; only the manifest records the degradation.
-        assert rc == 0
-        doc = json.loads((d / "manifest.json").read_text())
-        supervision = doc["campaign"]["supervision"]
-        assert supervision["degraded"] is True
-        metrics = doc["campaign"]["metrics"]
-        assert metrics["scheduler.degraded"]["samples"][0]["value"] == 1.0
+    @pytest.mark.parametrize(
+        "flags", [["--max-respawns", "0"], ["--hang-timeout", "1"]]
+    )
+    def test_removed_pool_flags_are_usage_errors(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            _run(
+                "campaign", "run", "--dir", str(tmp_path / "c"),
+                "--spec", "smoke", "--jobs", "2", *flags,
+            )
+        assert exc.value.code == 2
 
     def test_error_lists_worker_scenarios(self, tmp_path, capsys):
         rc = _run(
@@ -268,4 +237,17 @@ class TestWorkerScenarios:
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert "worker-kill" in err and "worker-poison" in err
+        assert "worker-kill" in err and "io-enospc" in err
+
+    @pytest.mark.parametrize("scenario", ["worker-hang", "worker-poison"])
+    def test_removed_worker_scenarios_are_unknown(
+        self, tmp_path, capsys, scenario
+    ):
+        rc = _run(
+            "campaign", "run", "--dir", str(tmp_path / "c"),
+            "--spec", "smoke", "--inject", scenario, "--jobs", "2",
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"unknown fault scenario {scenario!r}" in err
+        assert "worker-kill" in err

@@ -223,6 +223,20 @@ class TestFlagOwnership:
         )
         assert out == "[]"
 
+    def test_bench_entry_points_load_no_process_pool(self):
+        # A pool is built only inside a --jobs > 1 run, so importing the
+        # entry points loads neither multiprocessing nor the executor.
+        out = self._modules_loaded(
+            "import repro.cli, repro.campaign.orchestrator, "
+            "repro.sweep.runner, repro.service.daemon",
+            (
+                "multiprocessing",
+                "concurrent.futures",
+                "repro.campaign.supervisor",
+            ),
+        )
+        assert out == "[]"
+
     def test_top500_does_not_load_scipy(self):
         # top500 reads only the analytic HPL/HPCG models.
         out = self._modules_loaded(

@@ -44,18 +44,9 @@ _DET_SAMPLES = {
 _LIVE_SAMPLES = {
     "run-live": dict(jobs=4, pid=123, units=19),
     "worker-spawn": dict(worker="campaign-worker-0", index=0),
-    "unit-dispatched": dict(unit="u", index=0, attempt=1),
-    "worker-heartbeat": dict(index=0, unit="u"),
+    "unit-dispatched": dict(unit="u", index=0),
     "unit-completed": dict(unit="u", status="ok"),
-    "worker-exit": dict(worker="campaign-worker-0", exitcode=-9, unit="u"),
-    "worker-respawn": dict(
-        worker="campaign-worker-2",
-        replaces="campaign-worker-0",
-        respawns_used=1,
-    ),
-    "worker-hang-kill": dict(worker="campaign-worker-0", unit="u"),
     "pool-degraded": dict(),
-    "quarantine": dict(unit="u", exit_codes=[-9, -9, -9]),
     "service-start": dict(pid=123, port=8080, recovered=2),
     "request-accepted": dict(request="r-1", tenant="default", kind="bench"),
     "request-shed": dict(tenant="default", reason="tenant rate"),

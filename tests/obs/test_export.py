@@ -37,6 +37,24 @@ class TestChromeExport:
         assert all(e["dur"] >= 0 and e["ts"] >= 0 for e in spans)
         assert all(e["args"]["status"] == "ok" for e in spans)
 
+    def test_worker_death_marks_the_pool_lane(self, tmp_path):
+        from repro.faults.process import WorkerFaultPlan
+
+        spec = get_spec("smoke")
+        plan = WorkerFaultPlan("worker-kill", 0, kill="table3:aurora")
+        directory = tmp_path / "run"
+        Orchestrator(directory, spec=spec, jobs=2, worker_plan=plan).run()
+        doc = export_chrome(directory)
+        assert "pool" in _thread_names(doc)
+        instants = [
+            e["name"] for e in doc["traceEvents"] if e.get("ph") == "i"
+        ]
+        assert instants.count("pool-degraded") == 1
+        spans = [e for e in doc["traceEvents"] if e.get("ph") == "X"]
+        assert {e["name"] for e in spans} == {
+            u.id for u in spec.execution_order()
+        }
+
     def test_export_json_is_loadable_and_deterministic(self, rundir):
         text = export_json(rundir)
         assert json.loads(text) == export_chrome(rundir)
@@ -78,19 +96,11 @@ class TestRunRegistry:
         assert f"unit_simulated_us_count {n_units}" in text
         assert text.endswith("# EOF\n")
 
-    def test_registry_tracks_supervision_from_live_stream(self, tmp_path):
-        from repro.faults.process import build_worker_plan
-
-        spec = get_spec("smoke")
-        plan = build_worker_plan(
-            "worker-poison", 0, [u.id for u in spec.execution_order()]
-        )
-        directory = tmp_path / "run"
-        Orchestrator(directory, spec=spec, jobs=2, worker_plan=plan).run()
-        registry = run_registry(directory)
-        assert registry.value("worker.respawns") >= 2
-        victim = next(iter(plan.kills))
-        assert registry.value("unit.quarantined", unit=victim) == 1
+    def test_registry_reads_only_the_deterministic_stream(self, rundir):
+        # Worker telemetry is wall-clock; the scrape must not depend on it.
+        registry = run_registry(rundir)
+        assert "worker.respawns" not in registry
+        assert "unit.quarantined" not in registry
 
 
 class TestServiceExport:

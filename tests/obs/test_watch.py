@@ -3,7 +3,7 @@
 No live process anywhere: every scenario drives the orchestrator to a
 terminal (or interrupted) state first, then the renderer is pointed at
 the bytes on disk with a pinned ``now`` — the board must tell the
-truth about crashed, quarantined and degraded runs from the streams
+truth about crashed, interrupted and degraded runs from the streams
 alone.
 """
 
@@ -15,7 +15,7 @@ from repro.campaign.orchestrator import Orchestrator
 from repro.campaign.spec import get_spec
 from repro.cli import main
 from repro.errors import CampaignError
-from repro.faults.process import build_worker_plan
+from repro.faults.process import WorkerFaultPlan
 from repro.faults.scenarios import build_campaign_plan
 from repro.obs.watch import (
     follow,
@@ -90,76 +90,52 @@ class TestCrashedRun:
 
 
 class TestQuarantinedRun:
-    def test_board_names_the_poison_unit(self, tmp_path):
-        spec = get_spec("smoke")
-        plan = build_worker_plan(
-            "worker-poison", 0, [u.id for u in spec.execution_order()]
-        )
-        victim = next(iter(plan.kills))
-        _run(tmp_path / "run", jobs=2, worker_plan=plan)
+    def test_board_names_the_poison_unit(self, tmp_path, monkeypatch):
+        # A legacy ``unit-quarantined`` record reads as a failed unit.
+        from tests.campaign.test_orchestrator import legacy_quarantine_run
+
+        legacy_quarantine_run(tmp_path / "run", monkeypatch)
         snap = load_snapshot(tmp_path / "run")
-        assert snap.quarantined, "worker-poison must quarantine a unit"
+        assert snap.unit_states["table3:dawn"] == "FAILED"
         board = render(snap, now=2_000_000_000.0)
-        assert "QUARANTINED" in board
-        assert "worker exit codes" in board
-        assert "quarantined after repeated worker crashes" in board
-        assert victim in board
+        assert any(
+            "table3:dawn" in line and "FAILED" in line
+            for line in board.splitlines()
+        )
 
 
 class TestDegradedRun:
     def test_board_flags_pool_degradation(self, tmp_path):
-        # Poison kills the victim's first 3 attempts; with a zero
-        # respawn budget both workers die on it and the pool degrades
-        # to the in-process drain (which poison deliberately spares).
-        spec = get_spec("smoke")
-        plan = build_worker_plan(
-            "worker-poison", 0, [u.id for u in spec.execution_order()]
-        )
-        _run(
-            tmp_path / "run", jobs=2, worker_plan=plan, max_respawns=0
-        )
+        # The worker that picks up the first unit dies; the pool breaks
+        # and the rest of the DAG runs in-process.
+        victim = get_spec("smoke").execution_order()[0].id
+        plan = WorkerFaultPlan("worker-kill", 0, kill=victim)
+        _run(tmp_path / "run", jobs=2, worker_plan=plan)
         snap = load_snapshot(tmp_path / "run")
         assert snap.degraded
-        assert snap.complete  # degraded drain still finishes the DAG
+        assert snap.complete  # the in-process step still finishes the DAG
         board = render(snap, now=2_000_000_000.0)
         assert "POOL DEGRADED" in board
-        dead = [ln for ln in snap.lanes if ln.state == "DEAD"]
-        assert dead and any("DEAD" in line for line in board.splitlines())
 
 
 class TestWorkerLanes:
-    def test_respawn_history_is_visible(self):
+    def test_lanes_follow_dispatch_and_completion(self):
         live = [
-            {"v": 1, "type": "run-live", "ts": 0.0, "jobs": 2, "pid": 1, "units": 4},
+            {"v": 1, "type": "run-live", "ts": 0.0, "jobs": 2, "pid": 1, "units": 2},
             {"v": 1, "type": "worker-spawn", "ts": 0.1, "worker": "campaign-worker-0", "index": 0},
             {"v": 1, "type": "worker-spawn", "ts": 0.1, "worker": "campaign-worker-1", "index": 1},
-            {"v": 1, "type": "unit-dispatched", "ts": 0.2, "unit": "a", "index": 0, "attempt": 1},
-            {"v": 1, "type": "worker-heartbeat", "ts": 0.3, "index": 0, "unit": "a"},
-            {"v": 1, "type": "worker-exit", "ts": 0.4, "worker": "campaign-worker-0", "exitcode": -9, "unit": "a"},
-            {"v": 1, "type": "worker-spawn", "ts": 0.5, "worker": "campaign-worker-2", "index": 2},
-            {"v": 1, "type": "worker-respawn", "ts": 0.5, "worker": "campaign-worker-2", "replaces": "campaign-worker-0", "respawns_used": 1},
-            {"v": 1, "type": "unit-dispatched", "ts": 0.6, "unit": "a", "index": 2, "attempt": 2},
+            {"v": 1, "type": "unit-dispatched", "ts": 0.2, "unit": "a", "index": 1},
             {"v": 1, "type": "unit-completed", "ts": 0.9, "unit": "a", "status": "ok"},
+            {"v": 1, "type": "unit-dispatched", "ts": 1.0, "unit": "b", "index": 1},
         ]
         lanes = worker_lanes(live)
         assert [ln.worker for ln in lanes] == [
             "campaign-worker-0",
             "campaign-worker-1",
-            "campaign-worker-2",
         ]
-        assert lanes[0].state == "RESPAWNED"
-        assert lanes[0].exitcode == -9
-        assert lanes[2].respawns_used == 1
-        assert lanes[2].state == "IDLE"  # finished the retried unit
-        assert lanes[2].last_beat == 0.9
-
-    def test_hang_kill_marks_the_lane(self):
-        live = [
-            {"v": 1, "type": "worker-spawn", "ts": 0.0, "worker": "campaign-worker-0", "index": 0},
-            {"v": 1, "type": "unit-dispatched", "ts": 0.1, "unit": "a", "index": 0, "attempt": 1},
-            {"v": 1, "type": "worker-hang-kill", "ts": 5.0, "worker": "campaign-worker-0", "unit": "a"},
-        ]
-        assert worker_lanes(live)[0].state == "HUNG"
+        assert lanes[0].state == "IDLE" and lanes[0].last_ts is None
+        assert lanes[1].state == "RUNNING" and lanes[1].unit == "b"
+        assert lanes[1].last_ts == 1.0
 
 
 class TestFollow:

@@ -1,25 +1,22 @@
-"""Process-level chaos: byte-identity of supervised campaigns.
+"""Process-level chaos: byte-identity of campaigns whose workers die.
 
-The property (ISSUE 6 acceptance): for every injected worker SIGKILL,
-hang, or transient-ENOSPC point, at ``--jobs`` 2 and 4, the campaign
-completes and its journal, result store, manifest, and rendered tables
-are **byte-identical** to a clean serial run — except for the two
-deliberately visible outcomes, poison-unit quarantine and degraded
-mode, whose provenance is itself deterministic.
+The property: for every injected worker SIGKILL or transient-ENOSPC
+point, at ``--jobs`` 2 and 4, the campaign completes and its journal,
+result store, manifest, event stream and rendered tables are
+**byte-identical** to a clean serial run.  A worker death breaks the
+process pool and the scheduler runs the unsettled units in-process;
+unit execution is a pure function of the unit's identity, so the bytes
+cannot tell.
 
 Every kill point of the smoke spec is swept exhaustively (each unit,
-killed both before execution and after its result is flushed), not
-sampled: the supervisor's in-flight accounting must hold at *any*
-point, and four units x two points x two pool sizes is cheap enough to
-enumerate.
+at two pool sizes), not sampled: the degrade step must hold whichever
+unit the dead worker held.
 """
 
-import json
 import os
 
 import pytest
 
-from repro.campaign.journal import Journal
 from repro.campaign.orchestrator import Orchestrator
 from repro.campaign.spec import get_spec
 from repro.exitcodes import ExitCode
@@ -45,16 +42,13 @@ def _tree_bytes(directory, exclude=()):
     return out
 
 
-def _run(directory, *, jobs=1, worker_plan=None, max_respawns=None,
-         hang_timeout_s=None):
+def _run(directory, *, jobs=1, worker_plan=None):
     orch = Orchestrator(
         directory,
         spec=get_spec(SPEC),
         seed=0,
         jobs=jobs,
         worker_plan=worker_plan,
-        max_respawns=max_respawns,
-        hang_timeout_s=hang_timeout_s,
     )
     return orch.run()
 
@@ -69,129 +63,17 @@ def golden(tmp_path_factory):
 
 
 class TestKillSweep:
-    """Every (unit, kill point, pool size) heals to identical bytes."""
+    """Every (unit, pool size) kill heals to identical bytes."""
 
     @pytest.mark.parametrize("jobs", [2, 4])
-    @pytest.mark.parametrize("point", ["start", "done"])
     @pytest.mark.parametrize("unit_id", _UNIT_IDS)
     def test_any_kill_point_is_byte_identical(
-        self, golden, tmp_path, unit_id, point, jobs
+        self, golden, tmp_path, unit_id, jobs
     ):
-        plan = WorkerFaultPlan(
-            "worker-kill", 0, kills={unit_id: (1, point)}
-        )
+        plan = WorkerFaultPlan("worker-kill", 0, kill=unit_id)
         code = _run(str(tmp_path / "c"), jobs=jobs, worker_plan=plan)
         assert code == ExitCode.OK
         assert _tree_bytes(tmp_path / "c") == golden
-
-
-class TestHang:
-    @pytest.mark.parametrize("jobs", [2, 4])
-    def test_hung_worker_heals_to_identical_bytes(self, golden, tmp_path, jobs):
-        for unit_id in _UNIT_IDS:
-            directory = tmp_path / f"h-{jobs}-{unit_id.replace(':', '_')}"
-            plan = WorkerFaultPlan("worker-hang", 0, hangs={unit_id: 1})
-            code = _run(
-                str(directory), jobs=jobs, worker_plan=plan,
-                hang_timeout_s=1.0,
-            )
-            assert code == ExitCode.OK
-            assert _tree_bytes(directory) == golden
-
-
-class TestQuarantine:
-    """Poison units quarantine with provenance; the DAG completes."""
-
-    def _poison_run(self, directory, victim, jobs=2):
-        plan = WorkerFaultPlan(
-            "worker-poison", 0, kills={victim: (3, "start")}
-        )
-        return _run(str(directory), jobs=jobs, worker_plan=plan)
-
-    def test_quarantined_campaign_completes_unhealthy(self, tmp_path):
-        code = self._poison_run(tmp_path / "c", _UNIT_IDS[0])
-        assert code == ExitCode.UNHEALTHY
-
-    def test_journal_records_quarantine_with_exit_codes(self, tmp_path):
-        victim = _UNIT_IDS[0]
-        self._poison_run(tmp_path / "c", victim)
-        journal = Journal.load(tmp_path / "c" / "journal.jsonl")
-        quarantined = journal.of_type("unit-quarantined")
-        assert len(quarantined) == 1
-        rec = quarantined[0]
-        assert rec["unit"] == victim
-        assert rec["exit_codes"] == [-9, -9, -9]
-        assert rec["status"] == "FAILED"
-        # The campaign still finished: every unit journalled, plus done.
-        assert journal.of_type("campaign-done")
-        committed = {
-            r["unit"]
-            for r in journal.records
-            if r["type"] in ("unit-done", "unit-failed", "unit-quarantined")
-        }
-        assert committed == set(_UNIT_IDS)
-
-    def test_unrelated_unit_payloads_match_serial(self, golden, tmp_path):
-        # Quarantining table3:aurora fails its dependents, but an
-        # independent unit's stored bytes must equal the serial run's.
-        self._poison_run(tmp_path / "c", "table3:aurora")
-        chaos = _tree_bytes(tmp_path / "c")
-        independent = [
-            rel
-            for rel in golden
-            if "table3_dawn" in rel or "table3:dawn" in rel
-        ]
-        assert independent, "store layout changed; fix this test's key"
-        for rel in independent:
-            assert chaos[rel] == golden[rel]
-
-    def test_manifest_carries_supervision_provenance(self, tmp_path):
-        victim = _UNIT_IDS[0]
-        self._poison_run(tmp_path / "c", victim)
-        with open(tmp_path / "c" / "manifest.json", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        supervision = doc["campaign"]["supervision"]
-        assert supervision["quarantined"] == {victim: [-9, -9, -9]}
-        assert supervision["degraded"] is False
-        metrics = doc["campaign"]["metrics"]
-        assert metrics["unit.quarantined"]["samples"] == [
-            {"labels": {"unit": victim}, "value": 1.0}
-        ]
-
-    def test_quarantine_is_sticky_across_resume(self, tmp_path):
-        victim = _UNIT_IDS[0]
-        self._poison_run(tmp_path / "c", victim)
-        orch = Orchestrator(str(tmp_path / "c"))
-        # Already complete: resume converges without re-running the
-        # poison unit (which would crash nothing now, but must not be
-        # retried regardless).
-        assert orch.resume() == ExitCode.UNHEALTHY
-
-
-class TestDegradedMode:
-    def test_exhausted_budget_completes_via_serial_drain(
-        self, golden, tmp_path
-    ):
-        plan = WorkerFaultPlan(
-            "worker-poison", 0, kills={_UNIT_IDS[0]: (2, "start")}
-        )
-        directory = tmp_path / "c"
-        code = _run(str(directory), jobs=2, worker_plan=plan, max_respawns=0)
-        assert code == ExitCode.OK
-        # Everything but the manifest (which records the degradation) is
-        # byte-identical to serial.
-        assert _tree_bytes(directory, exclude=("manifest.json",)) == {
-            rel: data
-            for rel, data in golden.items()
-            if rel != "manifest.json"
-        }
-        with open(directory / "manifest.json", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        supervision = doc["campaign"]["supervision"]
-        assert supervision["degraded"] is True
-        assert supervision["respawns"] == 0
-        metrics = doc["campaign"]["metrics"]
-        assert metrics["scheduler.degraded"]["samples"][0]["value"] == 1.0
 
 
 class TestTransientEnospc:
@@ -210,16 +92,16 @@ class TestTransientEnospc:
 class TestSeededScenarios:
     """The CLI-facing builders stay deterministic and in range."""
 
-    @pytest.mark.parametrize(
-        "scenario", ["worker-kill", "worker-hang", "worker-poison"]
-    )
+    @pytest.mark.parametrize("scenario", ["worker-kill", "io-enospc"])
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_plans_are_pure_functions_of_seed(self, scenario, seed):
         a = build_worker_plan(scenario, seed, _UNIT_IDS)
         b = build_worker_plan(scenario, seed, _UNIT_IDS)
         assert a == b
-        targeted = set(a.kills) | set(a.hangs)
-        assert targeted and targeted <= set(_UNIT_IDS)
+        if scenario == "worker-kill":
+            assert a.kill in _UNIT_IDS
+        else:
+            assert a.enospc and a.kill is None
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_seeded_kill_scenario_heals(self, golden, tmp_path, seed):

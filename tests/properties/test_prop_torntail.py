@@ -44,7 +44,7 @@ class TestLiveStreamChopSweep:
     def test_every_chop_reads_longest_intact_prefix(self, tmp_path):
         bus = EventBus(tmp_path)
         for index in range(6):
-            bus.live("worker-heartbeat", index=index, unit=f"u{index}")
+            bus.live("unit-dispatched", index=index, unit=f"u{index}")
         data = open(bus.live_path, "rb").read()
         full = read_events(bus.live_path)
         assert len(full) == 6

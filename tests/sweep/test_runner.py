@@ -4,6 +4,11 @@ entries, and agreement with an exhaustive scalar enumeration."""
 import filecmp
 import gc
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,6 +165,79 @@ class TestRunSweep:
         assert "72 points" in text.replace(",", "")
         assert "bit-for-bit OK" in text
         assert "batch speedup" in text
+
+
+#: A jobs=2 sweep whose pool worker SIGKILLs itself on chunk 1.  It runs
+#: in a child interpreter so a pool that never notices the death fails
+#: the test by timeout instead of hanging the suite.
+_KILL_CHUNK_1 = """
+import os, signal, sys
+import repro.sweep.runner as runner
+from repro.sweep.spec import get_sweep_spec
+
+parent = os.getpid()
+chunk_worker = runner._chunk_worker
+
+def dying(task):
+    if os.getpid() != parent and task[2] == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return chunk_worker(task)
+
+runner._chunk_worker = dying
+runner.run_sweep(
+    get_sweep_spec("smoke"), out_dir=sys.argv[1], jobs=2,
+    chunk_points=16, ndjson=True, verify=0,
+)
+"""
+
+
+def _without_wall_clock(summary: dict) -> dict:
+    doc = {
+        k: v for k, v in summary.items()
+        if k not in ("eval_wall_s", "points_per_s", "jobs", "chunks")
+    }
+    doc["chunks"] = [
+        {k: v for k, v in chunk.items() if k != "wall_s"}
+        for chunk in summary["chunks"]
+    ]
+    return doc
+
+
+class TestWorkerDeath:
+    def test_killed_worker_chunks_run_in_process(self, tmp_path):
+        import repro
+
+        serial = tmp_path / "serial"
+        killed = tmp_path / "killed"
+        run_sweep(
+            SMOKE, out_dir=serial, ndjson=True, verify=0, chunk_points=16
+        )
+        env = dict(
+            os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1])
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _KILL_CHUNK_1, str(killed)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the sweep hung after a pool worker died")
+        assert proc.returncode == 0, err
+        assert "pool worker died" in err
+        for name in ("topk.ndjson", "results.ndjson"):
+            assert filecmp.cmp(serial / name, killed / name, shallow=False)
+        docs = [
+            json.loads((d / SWEEP_FILE).read_text()) for d in (serial, killed)
+        ]
+        assert docs[1]["jobs"] == 2
+        assert _without_wall_clock(docs[1]) == _without_wall_clock(docs[0])
 
 
 class TestGridExpansion:
