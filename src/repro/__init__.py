@@ -15,40 +15,28 @@ Quick start::
     print(table_ii().render())
 """
 
-from .dtypes import Precision
-from .errors import (
-    BuildError,
-    CalibrationError,
-    ConfigurationError,
-    NotMeasuredError,
-    ReproError,
-    TopologyError,
-    UnknownBenchmarkError,
-    UnknownSystemError,
-)
-from .hw.ids import StackRef
-from .hw.systems import SYSTEM_NAMES, System, all_systems, get_system
-from .sim.engine import PerfEngine
-from .sim.noise import NoiseModel
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Precision",
-    "BuildError",
-    "CalibrationError",
-    "ConfigurationError",
-    "NotMeasuredError",
-    "ReproError",
-    "TopologyError",
-    "UnknownBenchmarkError",
-    "UnknownSystemError",
-    "StackRef",
-    "SYSTEM_NAMES",
-    "System",
-    "all_systems",
-    "get_system",
-    "PerfEngine",
-    "NoiseModel",
-    "__version__",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "dtypes": ("Precision",),
+        "errors": (
+            "BuildError",
+            "CalibrationError",
+            "ConfigurationError",
+            "NotMeasuredError",
+            "ReproError",
+            "TopologyError",
+            "UnknownBenchmarkError",
+            "UnknownSystemError",
+        ),
+        "hw.ids": ("StackRef",),
+        "hw.systems": ("SYSTEM_NAMES", "System", "all_systems", "get_system"),
+        "sim.engine": ("PerfEngine",),
+        "sim.noise": ("NoiseModel",),
+    },
+)
+__all__.append("__version__")

@@ -32,21 +32,4 @@ a worker death shows only on stderr and in the wall-clock
 ``live.ndjson`` stream.
 """
 
-from .journal import Journal, JournalRecord
-from .orchestrator import Orchestrator
-from .scheduler import DagScheduler, resolve_jobs
-from .spec import SPEC_NAMES, CampaignSpec, CampaignUnit, get_spec
-from .store import ResultStore
-
-__all__ = [
-    "CampaignSpec",
-    "CampaignUnit",
-    "DagScheduler",
-    "Journal",
-    "JournalRecord",
-    "Orchestrator",
-    "ResultStore",
-    "SPEC_NAMES",
-    "get_spec",
-    "resolve_jobs",
-]
+__all__: list[str] = []

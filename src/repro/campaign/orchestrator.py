@@ -48,6 +48,7 @@ import threading
 from ..core.result import CellStatus
 from ..errors import CampaignCorruptError, CampaignError
 from ..exitcodes import ExitCode, status_exit_code
+from ..faults.context import ExecutionContext
 from ..faults.process import (
     WORKER_SCENARIO_NAMES,
     WorkerFaultPlan,
@@ -61,6 +62,8 @@ from ..faults.scenarios import (
 )
 from ..ioutils import atomic_write_text, set_io_fault_gate
 from ..obs.events import EventBus
+from ..obs.requests import TRACEPARENT_ENV, parse_traceparent
+from ..telemetry.manifest import build_manifest, render_manifest
 from ..telemetry.metrics import MetricsRegistry
 from .journal import Journal
 from .scheduler import DagScheduler, resolve_jobs
@@ -124,8 +127,6 @@ class Orchestrator:
         worker_plan: WorkerFaultPlan | None = None,
         trace: str | None = None,
     ) -> None:
-        from ..obs.requests import TRACEPARENT_ENV, parse_traceparent
-
         self.directory = os.fspath(directory)
         self.spec = spec
         self.scenario = scenario
@@ -605,9 +606,6 @@ class Orchestrator:
         return code
 
     def _write_manifest(self, order, payloads, completed, worst) -> None:
-        from ..faults.context import ExecutionContext
-        from ..telemetry.manifest import build_manifest, render_manifest
-
         ctx = ExecutionContext(self.scenario, self.seed)
         ctx.record(worst)
         campaign = {

@@ -64,6 +64,7 @@ import time
 from dataclasses import dataclass
 
 from ..errors import CampaignError, ReproError, WorkerCrashError
+from ..obs.events import IN_PROCESS
 from .spec import CampaignSpec
 from .units import apply_watchdog, execute_unit, failure_payload, format_error
 
@@ -311,7 +312,8 @@ class DagScheduler:
         Worker fault plans never fire here.  Only a :class:`ReproError`
         becomes a FAILED outcome; anything else propagates unchanged.
         """
-        self._live("unit-dispatched", unit=unit.id, index=0)
+        index = IN_PROCESS if self.degraded else 0
+        self._live("unit-dispatched", unit=unit.id, index=index)
         deps = {d: payloads[d] for d in unit.deps}
         try:
             payload = execute_unit(

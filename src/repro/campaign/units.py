@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from ..analysis import tables
+from ..analysis.figures import render_figure
 from ..core.result import CellStatus, ResultTable
 from ..core.units import Quantity
 from ..errors import CampaignError
@@ -157,10 +159,8 @@ def _execute_table(
 ) -> dict:
     telemetry = Telemetry(unit=unit.id, profile=profile)
     ctx = ExecutionContext(scenario, seed, telemetry=telemetry)
-    from ..analysis import tables as table_drivers
-
     _, driver_name = TABLE_DRIVERS[unit.table]
-    driver = getattr(table_drivers, driver_name)
+    driver = getattr(tables, driver_name)
     table = driver(systems=(unit.system,), ctx=ctx)
     status = max(ctx.worst_status, table.worst_status())
     extra: dict = {}
@@ -207,12 +207,10 @@ def _execute_render(unit, dep_payloads: Sequence[dict]) -> dict:
 
 
 def _execute_static(unit) -> dict:
-    from ..analysis import table_i, table_iv, table_v
-
     text = {
-        "table1": table_i,
-        "table4": lambda: table_iv().render(),
-        "table5": table_v,
+        "table1": tables.table_i,
+        "table4": lambda: tables.table_iv().render(),
+        "table5": tables.table_v,
     }[unit.table]()
     return _payload(
         unit,
@@ -225,8 +223,6 @@ def _execute_static(unit) -> dict:
 
 
 def _execute_figure(unit) -> dict:
-    from ..analysis import render_figure
-
     return _payload(
         unit,
         CellStatus.OK,

@@ -78,28 +78,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from .analysis import (
-    all_claims,
-    full_report,
-    render_figure,
-    table_i,
-    table_ii,
-    table_iii,
-    table_iv,
-    table_v,
-    table_vi,
-)
-from .campaign.spec import SPEC_NAMES
+from . import analysis
 from .errors import ReproError
 from .exitcodes import ExitCode, classify_error
-from .faults import (
-    CAMPAIGN_SCENARIO_NAMES,
-    SCENARIO_NAMES,
-    WORKER_SCENARIO_NAMES,
-    ExecutionContext,
-)
-from .hw.systems import all_systems
+
+if TYPE_CHECKING:
+    from .faults.context import ExecutionContext
 
 __all__ = ["build_parser", "main"]
 
@@ -337,7 +323,7 @@ def _cmd_metrics(ctx: ExecutionContext, args) -> None:
 
 def _cmd_claims() -> None:
     ok = 0
-    claims = all_claims()
+    claims = analysis.all_claims()
     for c in claims:
         mark = "PASS" if c.holds else "FAIL"
         ok += c.holds
@@ -346,6 +332,8 @@ def _cmd_claims() -> None:
 
 
 def _cmd_systems() -> None:
+    from .hw.systems import all_systems
+
     for system in all_systems():
         print(system.node.describe())
         print(f"    software: {system.software}")
@@ -392,6 +380,7 @@ def _cmd_health(ctx: ExecutionContext, args) -> None:
 def _cmd_selfcheck() -> None:
     from .hw.extensions import frontier, jlse_a100
     from .hw.selfcheck import self_check
+    from .hw.systems import all_systems
 
     ok = total = 0
     for system in all_systems() + [frontier(), jlse_a100()]:
@@ -461,23 +450,23 @@ def _cmd_top500() -> None:
 # Report commands.  Those taking the fault flags get the execution
 # context and the parsed args; the rest take no arguments and run clean.
 _FAULTED = {
-    "table2": lambda ctx, args: print(table_ii(ctx=ctx).render()),
-    "table3": lambda ctx, args: print(table_iii(ctx=ctx).render()),
-    "table6": lambda ctx, args: print(table_vi(ctx=ctx).render()),
-    "report": lambda ctx, args: print(full_report(ctx)),
+    "table2": lambda ctx, args: print(analysis.table_ii(ctx=ctx).render()),
+    "table3": lambda ctx, args: print(analysis.table_iii(ctx=ctx).render()),
+    "table6": lambda ctx, args: print(analysis.table_vi(ctx=ctx).render()),
+    "report": lambda ctx, args: print(analysis.full_report(ctx)),
     "health": _cmd_health,
 }
 
 _CLEAN = {
-    "table1": lambda: print(table_i()),
-    "table4": lambda: print(table_iv().render()),
-    "table5": lambda: print(table_v()),
+    "table1": lambda: print(analysis.table_i()),
+    "table4": lambda: print(analysis.table_iv().render()),
+    "table5": lambda: print(analysis.table_v()),
     # Figures render through the same text path the campaign result
     # store uses, so campaign artifacts are byte-identical to stdout.
-    "fig1": lambda: print(render_figure("fig1")),
-    "fig2": lambda: print(render_figure("fig2")),
-    "fig3": lambda: print(render_figure("fig3")),
-    "fig4": lambda: print(render_figure("fig4")),
+    "fig1": lambda: print(analysis.render_figure("fig1")),
+    "fig2": lambda: print(analysis.render_figure("fig2")),
+    "fig3": lambda: print(analysis.render_figure("fig3")),
+    "fig4": lambda: print(analysis.render_figure("fig4")),
     "claims": _cmd_claims,
     "systems": _cmd_systems,
     "roofline": _cmd_roofline,
@@ -510,12 +499,16 @@ def _finish(ctx: ExecutionContext, args) -> int:
 
 
 def _run_clean(args) -> int:
+    from .faults.context import ExecutionContext
+
     ctx = ExecutionContext(telemetry=_session(args))
     args.body()
     return _finish(ctx, args)
 
 
 def _run_faulted(args) -> int:
+    from .faults.context import ExecutionContext
+
     ctx = ExecutionContext(
         args.inject, args.seed, telemetry=_session(args, args.profile)
     )
@@ -549,12 +542,20 @@ def _bounded(kind, below=None):
     return parse
 
 
-def _add_fault_flags(sub, scenarios=SCENARIO_NAMES, profile: bool = True):
-    sub.add_argument(
-        "--inject",
-        metavar="SCENARIO",
-        help="inject a deterministic fault scenario: " + ", ".join(scenarios),
-    )
+def _add_fault_flags(sub, campaign: bool = False, profile: bool = True):
+    inject = sub.add_argument("--inject", metavar="SCENARIO")
+
+    def name_scenarios() -> None:
+        from .faults.scenarios import CAMPAIGN_SCENARIO_NAMES, SCENARIO_NAMES
+
+        names = SCENARIO_NAMES
+        if campaign:
+            from .faults.process import WORKER_SCENARIO_NAMES
+
+            names += CAMPAIGN_SCENARIO_NAMES + WORKER_SCENARIO_NAMES
+        inject.help = f"inject a deterministic fault scenario: {', '.join(names)}"
+
+    sub.pending += (name_scenarios,)
     sub.add_argument(
         "--seed",
         type=int,
@@ -622,14 +623,26 @@ class _Parser(argparse.ArgumentParser):
     :attr:`narrowed` maps a ``bench`` value to a parser that re-reads
     the same arguments: a target that owns fewer flags than its command
     (``profile service|sweep``) rejects the others instead of ignoring
-    them."""
+    them.
+
+    :attr:`pending` holds callbacks that fill in flag help and choices
+    naming a subsystem's contents (fault scenarios, campaign specs).
+    They run when this parser first parses (``--help`` included), so
+    building the whole parser imports none of those subsystems."""
 
     narrowed: dict = {}
+    pending: tuple = ()
+
+    def _fill(self) -> None:
+        pending, self.pending = self.pending, ()
+        for fill in pending:
+            fill()
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message} (see --help)\n")
 
     def parse_known_args(self, args=None, namespace=None):
+        self._fill()
         parsed, extras = super().parse_known_args(args, namespace)
         narrow = self.narrowed.get(getattr(parsed, "bench", None))
         if narrow is None:
@@ -724,15 +737,17 @@ def build_parser() -> argparse.ArgumentParser:
             help="campaign directory (journal, result store, artifacts)",
         )
         sub.set_defaults(run=campaign_main)
-    run.add_argument(
-        "--spec",
-        default="paper",
-        choices=sorted(SPEC_NAMES),
-        help="campaign spec (default: %(default)s)",
+    spec = run.add_argument(
+        "--spec", default="paper", help="campaign spec (default: %(default)s)"
     )
-    _add_fault_flags(
-        run, SCENARIO_NAMES + CAMPAIGN_SCENARIO_NAMES + WORKER_SCENARIO_NAMES
-    )
+
+    def name_specs() -> None:
+        from .campaign.spec import SPEC_NAMES
+
+        spec.choices = sorted(SPEC_NAMES)
+
+    run.pending += (name_specs,)
+    _add_fault_flags(run, campaign=True)
     for sub in (run, resume):
         sub.add_argument(
             "--unit-timeout",

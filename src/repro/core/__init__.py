@@ -4,74 +4,4 @@ This package is hardware-agnostic; the hardware models live in
 :mod:`repro.hw` and the performance engine in :mod:`repro.sim`.
 """
 
-from .fom import FOM_SPECS, Bound, FomSpec
-from .registry import BenchmarkInfo, Registry, global_registry, register
-from .result import (
-    BenchmarkResult,
-    DeviceScope,
-    Measurement,
-    ResultTable,
-    SampleSet,
-)
-from .runner import RunPlan, Runner
-from .stats import (
-    ConfidenceInterval,
-    bootstrap_ci,
-    geometric_mean,
-    harmonic_mean,
-    speedup_summary,
-)
-from .units import (
-    GB,
-    GIGA,
-    KIB,
-    MB,
-    MIB,
-    PETA,
-    TB,
-    TERA,
-    Quantity,
-    bandwidth,
-    flops,
-    iops,
-    parse_rate,
-    seconds,
-    si_format,
-)
-
-__all__ = [
-    "FOM_SPECS",
-    "Bound",
-    "FomSpec",
-    "BenchmarkInfo",
-    "Registry",
-    "global_registry",
-    "register",
-    "BenchmarkResult",
-    "DeviceScope",
-    "Measurement",
-    "ResultTable",
-    "SampleSet",
-    "RunPlan",
-    "Runner",
-    "ConfidenceInterval",
-    "bootstrap_ci",
-    "geometric_mean",
-    "harmonic_mean",
-    "speedup_summary",
-    "Quantity",
-    "bandwidth",
-    "flops",
-    "iops",
-    "parse_rate",
-    "seconds",
-    "si_format",
-    "KIB",
-    "MIB",
-    "GB",
-    "MB",
-    "TB",
-    "GIGA",
-    "TERA",
-    "PETA",
-]
+__all__: list[str] = []

@@ -1,17 +1,3 @@
 """Extras: the Top500 headline benchmarks (HPL/HPCG) on a node."""
 
-from .hpcg import (
-    CgResult,
-    HpcgModel,
-    HplModel,
-    build_hpcg_operator,
-    conjugate_gradient,
-)
-
-__all__ = [
-    "CgResult",
-    "HpcgModel",
-    "HplModel",
-    "build_hpcg_operator",
-    "conjugate_gradient",
-]
+__all__: list[str] = []

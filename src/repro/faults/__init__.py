@@ -22,42 +22,37 @@ The subsystem has three layers:
 the CLI's exit-code contract (0 clean / 1 degraded / 2 failed).
 """
 
-from .context import ExecutionContext
-from .injectors import FaultInjector
-from .plan import FaultClock, FaultEvent, FaultKind, FaultPlan, SeededDraw
-from .process import WORKER_SCENARIO_NAMES, WorkerFaultPlan, build_worker_plan
-from .service import (
-    SERVICE_SCENARIO_NAMES,
-    ServiceFaultPlan,
-    build_service_plan,
-    corrupt_store_objects,
-)
-from .scenarios import (
-    CAMPAIGN_SCENARIO_NAMES,
-    CampaignFaultPlan,
-    SCENARIO_NAMES,
-    build_campaign_plan,
-    build_plan,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExecutionContext",
-    "FaultInjector",
-    "FaultClock",
-    "FaultEvent",
-    "FaultKind",
-    "FaultPlan",
-    "SeededDraw",
-    "SCENARIO_NAMES",
-    "CAMPAIGN_SCENARIO_NAMES",
-    "CampaignFaultPlan",
-    "build_campaign_plan",
-    "build_plan",
-    "WORKER_SCENARIO_NAMES",
-    "WorkerFaultPlan",
-    "build_worker_plan",
-    "SERVICE_SCENARIO_NAMES",
-    "ServiceFaultPlan",
-    "build_service_plan",
-    "corrupt_store_objects",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "context": ("ExecutionContext",),
+        "injectors": ("FaultInjector",),
+        "plan": (
+            "FaultClock",
+            "FaultEvent",
+            "FaultKind",
+            "FaultPlan",
+            "SeededDraw",
+        ),
+        "scenarios": (
+            "SCENARIO_NAMES",
+            "CAMPAIGN_SCENARIO_NAMES",
+            "CampaignFaultPlan",
+            "build_campaign_plan",
+            "build_plan",
+        ),
+        "process": (
+            "WORKER_SCENARIO_NAMES",
+            "WorkerFaultPlan",
+            "build_worker_plan",
+        ),
+        "service": (
+            "SERVICE_SCENARIO_NAMES",
+            "ServiceFaultPlan",
+            "build_service_plan",
+            "corrupt_store_objects",
+        ),
+    },
+)

@@ -1,77 +1,3 @@
 """Hardware models: PVC architecture, reference GPUs, CPUs, nodes, fabric."""
 
-from .cpu import CpuSocket, epyc_7713, xeon_gold_5320_max, xeon_platinum_8468
-from .frequency import FrequencyModel, WorkloadKind
-from .gpu import (
-    DeviceModel,
-    GpuCardModel,
-    h100_sxm5_device,
-    mi250_gcd_device,
-    pvc_stack_device,
-)
-from .extensions import (
-    EXTENSION_SYSTEMS,
-    frontier,
-    get_extension_system,
-    jlse_a100,
-)
-from .ids import StackRef, parse_stack_ref
-from .interconnect import Fabric, Link, LinkKind, Route, aurora_planes
-from .memory import MemoryHierarchy, MemoryLevel
-from .node import Node
-from .selfcheck import CheckResult, self_check
-from .spec import MatrixEngine, PVCCard, VectorEngine, XeCore, XeSlice, XeStack
-from .systems import (
-    SYSTEM_NAMES,
-    System,
-    all_systems,
-    aurora,
-    dawn,
-    get_system,
-    jlse_h100,
-    jlse_mi250,
-)
-
-__all__ = [
-    "CpuSocket",
-    "epyc_7713",
-    "xeon_gold_5320_max",
-    "xeon_platinum_8468",
-    "FrequencyModel",
-    "WorkloadKind",
-    "DeviceModel",
-    "GpuCardModel",
-    "h100_sxm5_device",
-    "mi250_gcd_device",
-    "pvc_stack_device",
-    "EXTENSION_SYSTEMS",
-    "frontier",
-    "get_extension_system",
-    "jlse_a100",
-    "StackRef",
-    "parse_stack_ref",
-    "Fabric",
-    "Link",
-    "LinkKind",
-    "Route",
-    "aurora_planes",
-    "MemoryHierarchy",
-    "MemoryLevel",
-    "Node",
-    "CheckResult",
-    "self_check",
-    "MatrixEngine",
-    "PVCCard",
-    "VectorEngine",
-    "XeCore",
-    "XeSlice",
-    "XeStack",
-    "SYSTEM_NAMES",
-    "System",
-    "all_systems",
-    "aurora",
-    "dawn",
-    "get_system",
-    "jlse_h100",
-    "jlse_mi250",
-]
+__all__: list[str] = []

@@ -24,46 +24,4 @@ Four pieces layered over the telemetry/campaign/profiler stack:
   behind ``pvc-bench service watch`` and the daemon's ``/metrics``.
 """
 
-from .events import (
-    DETERMINISTIC_EVENTS,
-    EVENTS_FILE,
-    EVENT_SCHEMA_VERSION,
-    LIVE_EVENTS,
-    LIVE_FILE,
-    EventBus,
-    read_events,
-    validate_event,
-)
-from .requests import (
-    REQUESTS_FILE,
-    RequestLog,
-    SLOConfig,
-    SLOTracker,
-    TraceContext,
-    mint_trace,
-    parse_traceparent,
-    read_requests,
-    red_registry,
-    validate_request_record,
-)
-
-__all__ = [
-    "DETERMINISTIC_EVENTS",
-    "EVENTS_FILE",
-    "EVENT_SCHEMA_VERSION",
-    "EventBus",
-    "LIVE_EVENTS",
-    "LIVE_FILE",
-    "REQUESTS_FILE",
-    "RequestLog",
-    "SLOConfig",
-    "SLOTracker",
-    "TraceContext",
-    "mint_trace",
-    "parse_traceparent",
-    "read_events",
-    "read_requests",
-    "red_registry",
-    "validate_event",
-    "validate_request_record",
-]
+__all__: list[str] = []

@@ -33,6 +33,7 @@ __all__ = [
     "EVENTS_FILE",
     "EVENT_SCHEMA_VERSION",
     "EventBus",
+    "IN_PROCESS",
     "LIVE_EVENTS",
     "LIVE_FILE",
     "read_events",
@@ -79,6 +80,11 @@ DETERMINISTIC_EVENTS: dict[str, dict[str, type | tuple[type, ...]]] = {
     "deadline": {"before": str, "simulated_s": (int, float)},
     "campaign-done": {"exit": int},
 }
+
+#: ``unit-dispatched`` index of a unit a pool run executes in its own
+#: process after the pool broke: its lane is ``in-process``, not a
+#: worker's.  Serial runs dispatch at index 0, their ``serial`` lane.
+IN_PROCESS = -1
 
 #: Live stream: event type -> required fields (beyond ``v``/``type``/``ts``).
 LIVE_EVENTS: dict[str, dict[str, type | tuple[type, ...]]] = {

@@ -36,7 +36,7 @@ from ..errors import CampaignError
 from ..ioutils import atomic_write_text
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.trace import Tracer
-from .events import EVENTS_FILE, LIVE_FILE, read_events
+from .events import EVENTS_FILE, IN_PROCESS, LIVE_FILE, read_events
 from .requests import PHASES, REQUESTS_FILE, read_requests
 
 __all__ = [
@@ -75,7 +75,9 @@ def _live_trace(
 
     def lane(index: int) -> str:
         if index not in lane_of:
-            name = f"{prefix}worker-{index}"
+            name = prefix + (
+                "in-process" if index == IN_PROCESS else f"worker-{index}"
+            )
             lane_of[index] = tracer.lane(name, sort_key=(group, index, 0))
         return lane_of[index]
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from ..campaign.journal import Journal
 from ..errors import CampaignError
-from .events import EVENTS_FILE, LIVE_FILE, read_events
+from .events import EVENTS_FILE, IN_PROCESS, LIVE_FILE, read_events
 
 __all__ = [
     "RunSnapshot",
@@ -64,15 +64,18 @@ def worker_lanes(live_records: list[dict]) -> list[WorkerLane]:
     A pool run announces one ``worker-spawn`` per worker, so every
     worker has a lane even if it never got a unit.  Serial runs
     (``run-live`` with ``jobs=1``) get a single synthetic ``serial``
-    lane fed by the orchestrator's own dispatch records.
+    lane fed by the orchestrator's own dispatch records; units a pool
+    run executes itself after a worker death get an ``in-process`` lane.
     """
     lanes: dict[int, WorkerLane] = {}
 
     def lane(index: int) -> WorkerLane:
         if index not in lanes:
-            lanes[index] = WorkerLane(
-                index=index, worker=f"campaign-worker-{index}"
+            worker = (
+                "in-process" if index == IN_PROCESS
+                else f"campaign-worker-{index}"
             )
+            lanes[index] = WorkerLane(index=index, worker=worker)
         return lanes[index]
 
     for rec in live_records:

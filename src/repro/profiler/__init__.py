@@ -18,36 +18,9 @@ the simulated runs the same observability:
 * :mod:`repro.profiler.selfcheck` — the profiler leg of
   ``pvc-bench health``.
 
-``driver`` and ``selfcheck`` are imported lazily by the CLI (they pull
-in the benchmark stack); this package root stays light so
-:class:`~repro.telemetry.Telemetry` can construct an
-:class:`ApiProfiler` without an import cycle.
+The package root re-exports nothing: ``driver`` and ``selfcheck`` pull
+in the benchmark stack, and :class:`~repro.telemetry.session.Telemetry`
+imports :mod:`.core` alone to construct an :class:`ApiProfiler`.
 """
 
-from .core import ApiCall, ApiProfiler, KernelSample, PROFILE_SCHEMA
-from .baseline import (
-    BASELINE_SCHEMA,
-    BaselineComparison,
-    build_snapshot,
-    compare_snapshots,
-    load_baseline,
-    write_baseline,
-)
-from .flamegraph import collapsed_stacks, export_collapsed
-from .report import render_profile
-
-__all__ = [
-    "ApiCall",
-    "ApiProfiler",
-    "KernelSample",
-    "PROFILE_SCHEMA",
-    "BASELINE_SCHEMA",
-    "BaselineComparison",
-    "build_snapshot",
-    "compare_snapshots",
-    "load_baseline",
-    "write_baseline",
-    "collapsed_stacks",
-    "export_collapsed",
-    "render_profile",
-]
+__all__: list[str] = []

@@ -1,43 +1,3 @@
 """Programming-model substrates: Level-Zero, SYCL, OpenMP, MPI, toolchain."""
 
-from .binding import RankBinding, explicit_scaling_binding, ranks_per_socket
-from .mpi import MAX, MIN, SUM, Communicator, Request, SimMPI
-from .openmp import OmpTargetRegion, OpenMPRuntime
-from .sycl import (
-    SyclDevice,
-    SyclEvent,
-    SyclQueue,
-    SyclRuntime,
-    UsmAllocation,
-    UsmKind,
-)
-from .toolchain import Binary, Toolchain, toolchain_for
-from .ze import COMPOSITE, FLAT, ZeDevice, ZeDriver, parse_affinity_mask
-
-__all__ = [
-    "RankBinding",
-    "explicit_scaling_binding",
-    "ranks_per_socket",
-    "MAX",
-    "MIN",
-    "SUM",
-    "Communicator",
-    "Request",
-    "SimMPI",
-    "OmpTargetRegion",
-    "OpenMPRuntime",
-    "SyclDevice",
-    "SyclEvent",
-    "SyclQueue",
-    "SyclRuntime",
-    "UsmAllocation",
-    "UsmKind",
-    "Binary",
-    "Toolchain",
-    "toolchain_for",
-    "COMPOSITE",
-    "FLAT",
-    "ZeDevice",
-    "ZeDriver",
-    "parse_affinity_mask",
-]
+__all__: list[str] = []

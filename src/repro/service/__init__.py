@@ -34,25 +34,4 @@ See ``docs/service.md`` for the API, the lifecycle model and the
 crash-drill invariants.
 """
 
-from .admission import AdmissionController, Decision, TokenBucket
-from .daemon import BenchDaemon, serve_bench_main
-from .httpd import GracefulHTTPServer
-from .loadgen import LoadgenReport, loadgen_main, run_loadgen
-from .selfcheck import service_selfcheck
-from .state import ServiceState, normalize_request, request_digest
-
-__all__ = [
-    "AdmissionController",
-    "BenchDaemon",
-    "Decision",
-    "GracefulHTTPServer",
-    "LoadgenReport",
-    "ServiceState",
-    "TokenBucket",
-    "loadgen_main",
-    "normalize_request",
-    "request_digest",
-    "run_loadgen",
-    "serve_bench_main",
-    "service_selfcheck",
-]
+__all__: list[str] = []

@@ -57,6 +57,16 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler
 
+from ..analysis.figures import render_figure
+from ..analysis.report import full_report
+from ..analysis.tables import (
+    table_i,
+    table_ii,
+    table_iii,
+    table_iv,
+    table_v,
+    table_vi,
+)
 from ..errors import CampaignError, ReproError
 from ..exitcodes import ExitCode, classify_error
 from ..faults import ExecutionContext
@@ -120,17 +130,6 @@ _BENCH_COMMANDS = (
 
 
 def _render_bench(command: str, ctx: ExecutionContext) -> str:
-    from ..analysis import (
-        full_report,
-        render_figure,
-        table_i,
-        table_ii,
-        table_iii,
-        table_iv,
-        table_v,
-        table_vi,
-    )
-
     if command == "table1":
         return table_i()
     if command == "table2":

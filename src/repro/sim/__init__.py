@@ -1,68 +1,3 @@
 """Performance simulator: kernels, calibration, roofline, transfers, engine."""
 
-from .calibration import (
-    APP_CALIBRATIONS,
-    CALIBRATIONS,
-    ScalingCurve,
-    SystemCalibration,
-    get_app_calibration,
-    get_calibration,
-)
-from .batch import BATCH_CODEC, BatchEngine, BatchResult, KernelBatch
-from .contention import aggregate_rate, proportional_share, shared_throughput
-from .engine import PerfEngine
-from .memo import MemoCache, batch_digest, content_digest, kernel_signature
-from .memostore import MemoStore, PersistentMemoCache
-from .kernel import (
-    GEMM_N,
-    TRIAD_ARRAY_BYTES,
-    KernelSpec,
-    fft_kernel,
-    fma_chain_kernel,
-    gemm_kernel,
-    pointer_chase_kernel,
-    triad_kernel,
-)
-from .noise import QUIET, NoiseModel
-from .power import EnergyReport, PowerModel
-from .roofline import RooflinePoint, classify, kernel_time
-from .transfer import TransferModel
-
-__all__ = [
-    "APP_CALIBRATIONS",
-    "CALIBRATIONS",
-    "ScalingCurve",
-    "SystemCalibration",
-    "get_app_calibration",
-    "get_calibration",
-    "aggregate_rate",
-    "proportional_share",
-    "shared_throughput",
-    "PerfEngine",
-    "BATCH_CODEC",
-    "BatchEngine",
-    "BatchResult",
-    "KernelBatch",
-    "MemoCache",
-    "batch_digest",
-    "MemoStore",
-    "PersistentMemoCache",
-    "content_digest",
-    "kernel_signature",
-    "GEMM_N",
-    "TRIAD_ARRAY_BYTES",
-    "KernelSpec",
-    "fft_kernel",
-    "fma_chain_kernel",
-    "gemm_kernel",
-    "pointer_chase_kernel",
-    "triad_kernel",
-    "QUIET",
-    "NoiseModel",
-    "EnergyReport",
-    "PowerModel",
-    "RooflinePoint",
-    "classify",
-    "kernel_time",
-    "TransferModel",
-]
+__all__: list[str] = []

@@ -10,15 +10,4 @@ that the observability surfaces (``obs export``, ``trend``) and the
 ``BENCH_3.json`` perf gate consume.
 """
 
-from .spec import SWEEP_SPEC_NAMES, SweepSpec, get_sweep_spec, load_sweep_spec
-from .runner import SweepOutcome, run_sweep, sweep_main
-
-__all__ = [
-    "SWEEP_SPEC_NAMES",
-    "SweepSpec",
-    "SweepOutcome",
-    "get_sweep_spec",
-    "load_sweep_spec",
-    "run_sweep",
-    "sweep_main",
-]
+__all__: list[str] = []

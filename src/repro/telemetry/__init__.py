@@ -13,28 +13,25 @@ Three pieces, all deterministic under a fixed seed + scenario:
 and a metrics registry into the per-run handle every layer carries.
 """
 
-from .manifest import SCHEMA, build_manifest, render_manifest, write_manifest
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .session import FAULT_LANE, RUN_LANE, Telemetry, gpu_lane, rank_lane
-from .trace import COMPLETE, INSTANT, Lane, TraceEvent, Tracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "COMPLETE",
-    "Counter",
-    "FAULT_LANE",
-    "Gauge",
-    "Histogram",
-    "INSTANT",
-    "Lane",
-    "MetricsRegistry",
-    "RUN_LANE",
-    "SCHEMA",
-    "Telemetry",
-    "TraceEvent",
-    "Tracer",
-    "build_manifest",
-    "gpu_lane",
-    "rank_lane",
-    "render_manifest",
-    "write_manifest",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "manifest": (
+            "SCHEMA",
+            "build_manifest",
+            "render_manifest",
+            "write_manifest",
+        ),
+        "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+        "session": (
+            "FAULT_LANE",
+            "RUN_LANE",
+            "Telemetry",
+            "gpu_lane",
+            "rank_lane",
+        ),
+        "trace": ("COMPLETE", "INSTANT", "Lane", "TraceEvent", "Tracer"),
+    },
+)

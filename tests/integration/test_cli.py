@@ -1,15 +1,21 @@
 """CLI smoke tests (every subcommand)."""
 
-import os
+import json
 import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+from .import_sets import (
+    DISPATCH,
+    GOLDEN_PATH,
+    compute_import_sets,
+    modules_loaded,
+    run_fresh,
+)
 
 
 class TestCli:
@@ -183,50 +189,30 @@ class TestFlagOwnership:
         assert "(0, 1)" in err
         assert len(err.strip().splitlines()) == 1
 
-    @staticmethod
-    def _modules_loaded(code: str, prefixes: tuple[str, ...]) -> str:
-        """Run *code* in a fresh interpreter; the sorted loaded modules
-        that start with one of *prefixes*, as printed on its last line."""
-        import repro
-
-        code += (
-            "\nimport sys; print(sorted(m for m in sys.modules "
-            f"if m.startswith({prefixes!r})))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-        return out.strip().splitlines()[-1]
-
     def test_import_loads_no_service_sweep_or_profiler_code(self):
         # Every pvc-bench process imports the CLI and builds its parser;
         # the heavy subsystems load only when their command runs.
-        out = self._modules_loaded(
+        out = modules_loaded(
             "import repro.cli; repro.cli.build_parser()",
             ("repro.service", "repro.sweep", "repro.profiler"),
         )
-        assert out == "[]"
+        assert out == []
 
     def test_bench_entry_points_load_neither_networkx_nor_scipy(self):
         # The fabric routes on its own adjacency map and the HPCG solver
         # imports scipy only when it runs, so no campaign, sweep or
         # service process pays for either package at start-up.
-        out = self._modules_loaded(
+        out = modules_loaded(
             "import repro.cli, repro.campaign.orchestrator, "
             "repro.sweep.runner, repro.service.daemon",
             ("networkx", "scipy"),
         )
-        assert out == "[]"
+        assert out == []
 
     def test_bench_entry_points_load_no_process_pool(self):
         # A pool is built only inside a --jobs > 1 run, so importing the
         # entry points loads neither multiprocessing nor the executor.
-        out = self._modules_loaded(
+        out = modules_loaded(
             "import repro.cli, repro.campaign.orchestrator, "
             "repro.sweep.runner, repro.service.daemon",
             (
@@ -235,17 +221,73 @@ class TestFlagOwnership:
                 "repro.campaign.supervisor",
             ),
         )
-        assert out == "[]"
+        assert out == []
 
     def test_top500_does_not_load_scipy(self):
         # top500 reads only the analytic HPL/HPCG models.
-        out = self._modules_loaded(
+        out = modules_loaded(
             "from repro.cli import main; main(['top500'])", ("scipy",)
         )
-        assert out == "[]"
+        assert out == []
+
+
+class TestImportSets:
+    """Each benchmarked entry point loads what its command runs, before
+    ``main`` starts (see ``import_sets.py``)."""
+
+    def test_entry_points_load_the_pinned_import_sets(self):
+        golden = json.loads(GOLDEN_PATH.read_text())
+        now = compute_import_sets()
+        assert now.keys() == golden.keys() == DISPATCH.keys()
+        for command, modules in golden.items():
+            extra = sorted(set(now[command]) - set(modules))
+            missing = sorted(set(modules) - set(now[command]))
+            assert not extra and not missing, (command, extra, missing)
+
+    @pytest.mark.parametrize(
+        "argv, dispatch",
+        [
+            (["campaign", "run", "--spec", "smoke"], "repro.campaign.orchestrator"),
+            (["sweep", "smoke"], "repro.sweep.runner"),
+        ],
+        ids=["campaign-smoke", "sweep-smoke"],
+    )
+    def test_main_loads_no_module(self, argv, dispatch, tmp_path):
+        # Start-up is timed apart from the run: an import that first
+        # happens inside main() would move into the timed region.
+        argv = argv + ["--dir", str(tmp_path / "run")]
+        lines = run_fresh(
+            f"import json, sys, repro.cli, repro.ioutils, {dispatch}\n"
+            "before = set(sys.modules)\n"
+            f"code = repro.cli.main({argv!r})\n"
+            "print(json.dumps([code, sorted(m for m in set(sys.modules) - "
+            "before if m.startswith('repro'))]))"
+        )
+        code, late = json.loads(lines[-1])
+        assert code == 0
+        assert late == []
 
 
 _ROOT = Path(__file__).resolve().parents[2]
+
+#: A quickstart line whose comment states the value it evaluates to.
+_STATED_VALUE = re.compile(r"^(\S.*?)\s+#\s+(\d\.\d+e\d+)\b.*$", re.M)
+
+
+def test_readme_quickstart_states_true_values():
+    # The README's snippets import through the packages' lazy
+    # re-exports; run them as a new user would, in a fresh interpreter.
+    text = (_ROOT / "README.md").read_text()
+    section = text.split("## Quickstart", 1)[1].split("\n## ", 1)[0]
+    source = "\n".join(re.findall(r"```python\n(.*?)```", section, re.S))
+    stated = [value for _, value in _STATED_VALUE.findall(source)]
+    assert stated == ["1.70e13", "2.29e13", "1.0e12"]
+    program = _STATED_VALUE.sub(r"print(repr(\1))", source)
+    *values, quantity = run_fresh(program)
+    for got, want in zip(values, stated, strict=True):
+        digits = len(want.split("e")[0]) - 2
+        assert f"{float(got):.{digits}e}" == f"{float(want):.{digits}e}"
+    assert quantity == "195 TFlop/s"
 
 #: A line that starts a ``pvc-bench`` shell command, after an optional
 #: CI ``run:`` key, a ``!`` negation and environment assignments.

@@ -17,6 +17,8 @@ from repro.cli import main
 from repro.errors import CampaignError
 from repro.faults.process import WorkerFaultPlan
 from repro.faults.scenarios import build_campaign_plan
+from repro.obs.events import IN_PROCESS, LIVE_FILE, read_events
+from repro.obs.export import export_chrome
 from repro.obs.watch import (
     follow,
     load_snapshot,
@@ -116,6 +118,35 @@ class TestDegradedRun:
         assert snap.complete  # the in-process step still finishes the DAG
         board = render(snap, now=2_000_000_000.0)
         assert "POOL DEGRADED" in board
+
+    def test_in_process_units_get_their_own_lane(self, tmp_path, capsys):
+        # After the pool breaks the orchestrator runs the rest itself;
+        # those units must not show up on worker 0's lane.
+        run = tmp_path / "run"
+        argv = ["campaign", "run", "--dir", str(run), "--spec", "paper",
+                "--jobs", "4", "--inject", "worker-kill", "--seed", "0"]
+        assert main(argv) == 0
+        live = read_events(run / LIVE_FILE)
+        summary = [
+            rec["index"] for rec in live
+            if rec["type"] == "unit-dispatched"
+            and rec["unit"] == "campaign:summary"
+        ]
+        assert summary == [IN_PROCESS]
+        lanes = load_snapshot(run).lanes
+        assert [ln.worker for ln in lanes] == ["in-process"] + [
+            f"campaign-worker-{i}" for i in range(4)
+        ]
+        doc = export_chrome(run)
+        tid = {
+            e["tid"]: e["args"]["name"]
+            for e in doc["traceEvents"] if e["name"] == "thread_name"
+        }
+        (span,) = [
+            e for e in doc["traceEvents"]
+            if e.get("ph") == "X" and e["name"] == "campaign:summary"
+        ]
+        assert tid[span["tid"]] == "in-process"
 
 
 class TestWorkerLanes:
