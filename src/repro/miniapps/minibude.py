@@ -30,6 +30,7 @@ from ..dtypes import Precision
 from ..errors import NotMeasuredError
 from ..sim.calibration import MiniBudeCalibration, get_app_calibration
 from ..sim.engine import PerfEngine
+from ..sim.kernel import FLOPS_PER_INTERACTION
 from .base import MiniApp
 
 __all__ = [
@@ -42,12 +43,6 @@ __all__ = [
     "PAPER_POSES",
     "PAPER_ATOMS",
 ]
-
-#: FP32 flops charged per pose-atom-atom interaction in the FOM model
-#: (distance + steric + electrostatic arithmetic; calibrated jointly with
-#: the achieved-fraction constants so Table VI and the Section V-B peak
-#: percentages are mutually consistent).
-FLOPS_PER_INTERACTION = 35.3
 
 #: Paper input deck: 2672 ligand atoms, 2672 protein atoms, 983040 poses.
 PAPER_ATOMS = 2672

@@ -4,10 +4,11 @@ iprof (THAPI) works by intercepting every Level Zero / OpenCL / CUDA
 entry point through LTTng tracepoints and aggregating host time, device
 time and bytes moved per API name.  The simulated runtime has no
 ``LD_PRELOAD`` surface, so the interception is explicit: the runtime
-layers (``runtime.ze``, ``runtime.sycl``, ``runtime.mpi``) and the
-performance engine call :meth:`ApiProfiler.record` /
-:meth:`ApiProfiler.kernel` at each instrumentation point whenever the
-telemetry session carries a profiler.
+layers (``runtime.ze``, ``runtime.sycl``, ``runtime.mpi``) call
+:meth:`ApiProfiler.record` at each instrumentation point, and the
+performance engine hands each kernel event to
+:meth:`ApiProfiler.record_kernel`, whenever the telemetry session
+carries a profiler.
 
 Determinism contract (same as the tracer/metrics exporters): MPI ranks
 run as threads, so the *insertion order* of records is scheduler
@@ -334,9 +335,28 @@ class ApiProfiler:
         return call
 
     def kernel(self, sample: KernelSample) -> None:
-        """Record one profiled kernel execution (engine instrumentation)."""
+        """Record one profiled kernel execution."""
         with self._lock:
             self._kernels.append(sample)
+
+    def record_kernel(self, event) -> None:
+        """Record the engine's :class:`~repro.sim.engine.KernelEvent`."""
+        spec, point = event.spec, event.point
+        self.kernel(
+            KernelSample(
+                name=spec.name,
+                system=event.system,
+                n_stacks=event.n_stacks,
+                achieved_s=event.time_s,
+                compute_s=point.compute_s,
+                memory_s=point.memory_s,
+                latency_s=point.latency_s,
+                flops=float(spec.flops),
+                nbytes=float(spec.total_bytes),
+                compute_rate=point.compute_rate,
+                mem_bw=point.mem_bw,
+            )
+        )
 
     # ------------------------------------------------------------------
     # deterministic views of the raw records

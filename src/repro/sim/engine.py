@@ -18,7 +18,7 @@ Ablation switches (each maps to a discussion point in the paper):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from ..dtypes import ENGINE_MATRIX, Precision
 from ..errors import DeviceLostError
@@ -34,12 +34,66 @@ from .transfer import TransferModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.injectors import FaultInjector
+    from ..telemetry.metrics import MetricsRegistry
     from ..telemetry.session import Telemetry
 
-__all__ = ["PerfEngine"]
+__all__ = ["CacheEvent", "KernelEvent", "PerfEngine"]
 
 #: Numeric encoding of the roofline regime for the gauge exporter.
 _REGIME_CODE = {"latency": 0.0, "memory": 1.0, "compute": 2.0}
+
+#: Sim-cache outcome -> the counter it folds into.
+_CACHE_METRIC = {
+    "hit": "simcache.hit",
+    "miss": "simcache.miss",
+    "bypass": "simcache.bypass",
+}
+
+
+class CacheEvent(NamedTuple):
+    """One sim-cache lookup made outside :meth:`PerfEngine.kernel_time_s`."""
+
+    cache: str
+
+    def fold(self, metrics: "MetricsRegistry") -> None:
+        metrics.apply_inc(_CACHE_METRIC[self.cache], 1.0)
+
+
+class KernelEvent(NamedTuple):
+    """One simulated kernel execution, as telemetry sees it.
+
+    :meth:`PerfEngine.kernel_time_s` records one per call; the metrics
+    registry folds it into the kernel and sim-cache metrics when they
+    are read, and the profiler builds its kernel sample from it.
+    """
+
+    spec: KernelSpec
+    system: str
+    n_stacks: int
+    point: RooflinePoint
+    time_s: float
+    rep: int | None
+    cache: str
+
+    def fold(self, metrics: "MetricsRegistry") -> None:
+        spec, point = self.spec, self.point
+        bound = point.bound
+        kernel = (("kernel", spec.name),)
+        metrics.apply_inc(_CACHE_METRIC[self.cache], 1.0)
+        metrics.apply_inc("kernel.count", 1.0, (("bound", bound),) + kernel)
+        if spec.flops:
+            metrics.apply_inc("kernel.flops", spec.flops)
+        total_bytes = spec.total_bytes
+        if total_bytes:
+            metrics.apply_inc("kernel.bytes", total_bytes)
+        metrics.apply_observe("kernel.time_us", self.time_s * 1e6, kernel)
+        metrics.apply_set("roofline.regime", _REGIME_CODE[bound], kernel)
+        # Fraction of the roofline window the compute pipes are busy;
+        # 1.0 means fully compute-bound, ~0 means stalled on memory.
+        total = point.total_s
+        metrics.apply_set(
+            "kernel.occupancy", point.compute_s / total if total else 0.0, kernel
+        )
 
 
 class PerfEngine:
@@ -243,7 +297,9 @@ class PerfEngine:
         )
         return kernel_time(spec, rate, bw, chase)
 
-    def roofline(self, spec: KernelSpec, n_stacks: int = 1) -> RooflinePoint:
+    def roofline(
+        self, spec: KernelSpec, n_stacks: int = 1, *, with_cache: bool = False
+    ) -> RooflinePoint | tuple[RooflinePoint, str]:
         """Roofline decomposition of *spec* on *n_stacks* stacks.
 
         Clean (fault-free) evaluations are memoized by content —
@@ -252,22 +308,35 @@ class PerfEngine:
         fault-injected engine bypasses the cache: injector state (clock
         excursions, lost stacks, notes emitted while clipping scope)
         legitimately changes the answer between calls.
+
+        The cache outcome (``hit``, ``miss`` or ``bypass``) is recorded
+        as a :class:`CacheEvent`.  With ``with_cache=True`` nothing is
+        recorded and ``(point, outcome)`` is returned instead, so that
+        :meth:`kernel_time_s` carries the outcome on its kernel event.
         """
         if self.faults is not None:
-            if self.telemetry is not None:
-                self.telemetry.metrics.inc("simcache.bypass")
-            return self._roofline_eval(spec, n_stacks)
-        key = (self.identity_digest(), spec.signature(), n_stacks)
-        point = self.memo.get(key)
-        hit = point is not None
-        if not hit:
-            point = self._roofline_eval(spec, n_stacks)
-            self.memo.put(key, point)
-        if self.telemetry is not None:
-            self.telemetry.metrics.inc(
-                "simcache.hit" if hit else "simcache.miss"
-            )
+            cache = "bypass"
+            try:
+                point = self._roofline_eval(spec, n_stacks)
+            except Exception:
+                # The failed evaluation still bypassed the cache.
+                self._record(CacheEvent(cache))
+                raise
+        else:
+            key = (self.identity_digest(), spec.signature(), n_stacks)
+            point = self.memo.get(key)
+            cache = "miss" if point is None else "hit"
+            if point is None:
+                point = self._roofline_eval(spec, n_stacks)
+                self.memo.put(key, point)
+        if with_cache:
+            return point, cache
+        self._record(CacheEvent(cache))
         return point
+
+    def _record(self, event) -> None:
+        if self.telemetry is not None:
+            self.telemetry.metrics.record(event)
 
     def kernel_time_s(
         self,
@@ -276,50 +345,25 @@ class PerfEngine:
         *,
         rep: int | None = None,
     ) -> float:
-        """Simulated execution time; pass *rep* to include run-to-run noise."""
+        """Simulated execution time; pass *rep* to include run-to-run noise.
+
+        With telemetry on, the call records one :class:`KernelEvent`; the
+        kernel metrics are folded from it when they are read.
+        """
         if self.faults is not None:
             self.faults.on_kernel(spec.name)
-        point = self.roofline(spec, n_stacks)
+        point, cache = self.roofline(spec, n_stacks, with_cache=True)
         t = point.total_s
         if rep is not None:
             t = self.noise.apply(t, f"{self.system.name}:{spec.name}", rep)
-        if self.telemetry is not None:
-            m = self.telemetry.metrics
-            m.inc("kernel.count", bound=point.bound, kernel=spec.name)
-            if spec.flops:
-                m.inc("kernel.flops", spec.flops)
-            if spec.total_bytes:
-                m.inc("kernel.bytes", spec.total_bytes)
-            m.observe("kernel.time_us", t * 1e6, kernel=spec.name)
-            m.set_gauge(
-                "roofline.regime", _REGIME_CODE[point.bound], kernel=spec.name
+        telemetry = self.telemetry
+        if telemetry is not None:
+            event = KernelEvent(
+                spec, self.system.name, n_stacks, point, t, rep, cache
             )
-            # Fraction of the roofline window the compute pipes are busy;
-            # 1.0 means fully compute-bound, ~0 means stalled on memory.
-            m.set_gauge(
-                "kernel.occupancy",
-                point.compute_s / point.total_s if point.total_s else 0.0,
-                kernel=spec.name,
-            )
-            profiler = getattr(self.telemetry, "profiler", None)
-            if profiler is not None:
-                from ..profiler.core import KernelSample
-
-                profiler.kernel(
-                    KernelSample(
-                        name=spec.name,
-                        system=self.system.name,
-                        n_stacks=n_stacks,
-                        achieved_s=t,
-                        compute_s=point.compute_s,
-                        memory_s=point.memory_s,
-                        latency_s=point.latency_s,
-                        flops=float(spec.flops),
-                        nbytes=float(spec.total_bytes),
-                        compute_rate=point.compute_rate,
-                        mem_bw=point.mem_bw,
-                    )
-                )
+            telemetry.metrics.record(event)
+            if telemetry.profiler is not None:
+                telemetry.profiler.record_kernel(event)
         return t
 
     # ------------------------------------------------------------------

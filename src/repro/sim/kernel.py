@@ -29,6 +29,7 @@ __all__ = [
     "pointer_chase_kernel",
     "TRIAD_ARRAY_BYTES",
     "GEMM_N",
+    "FLOPS_PER_INTERACTION",
 ]
 
 #: Section IV-A.2: the triad loads "805 MB (192*1024*1024 Bytes (LLC per
@@ -37,6 +38,12 @@ TRIAD_ARRAY_BYTES = 192 * MIB * 4
 
 #: Section IV-A.5: square GEMM with N = 20480.
 GEMM_N = 20480
+
+#: FP32 flops charged per pose-atom-atom interaction in miniBUDE's FOM
+#: model (distance + steric + electrostatic arithmetic; calibrated jointly
+#: with the achieved-fraction constants so Table VI and the Section V-B
+#: peak percentages are mutually consistent).
+FLOPS_PER_INTERACTION = 35.3
 
 
 @dataclass(frozen=True, slots=True)

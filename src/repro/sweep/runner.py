@@ -46,6 +46,7 @@ from ..hw.systems import get_system
 from ..ioutils import atomic_write_json, atomic_write_text
 from ..sim.batch import BOUND_LABELS, KIND_CODES, KernelBatch
 from ..sim.engine import PerfEngine
+from ..sim.kernel import FLOPS_PER_INTERACTION
 from ..sim.noise import QUIET
 from .spec import NO_PRECISION, SweepSpec, load_sweep_spec
 
@@ -204,8 +205,6 @@ def _bude(v: dict[str, np.ndarray]) -> dict:
     fewer DRAM-visible bytes per interaction) and a register-footprint
     working set.
     """
-    from ..miniapps.minibude import FLOPS_PER_INTERACTION
-
     ppwi, wgsize = v["ppwi"], v["wgsize"]
     items = 64.0 * 1024.0
     interactions = ppwi.astype(np.float64) * items * 256.0

@@ -82,9 +82,12 @@ class Counter:
     kind = "counter"
 
     def inc(self, value: float = 1.0, **labels) -> None:
+        self.inc_key(_labelset(labels), value)
+
+    def inc_key(self, key: LabelSet, value: float) -> None:
+        """:meth:`inc` on an already validated, sorted label set."""
         if value < 0:
             raise ValueError(f"{self.name}: counters cannot decrease")
-        key = _labelset(labels)
         self._values[key] = self._values.get(key, 0.0) + value
 
     def value(self, **labels) -> float:
@@ -126,6 +129,10 @@ class Gauge:
     def set(self, value: float, **labels) -> None:
         self._values[_labelset(labels)] = float(value)
 
+    def set_key(self, key: LabelSet, value: float) -> None:
+        """:meth:`set` on an already validated, sorted label set."""
+        self._values[key] = float(value)
+
     def add(self, value: float, **labels) -> None:
         key = _labelset(labels)
         self._values[key] = self._values.get(key, 0.0) + value
@@ -162,7 +169,10 @@ class Histogram:
             raise ValueError(f"{self.name}: need at least one bucket")
 
     def observe(self, value: float, **labels) -> None:
-        key = _labelset(labels)
+        self.observe_key(_labelset(labels), value)
+
+    def observe_key(self, key: LabelSet, value: float) -> None:
+        """:meth:`observe` on an already validated, sorted label set."""
         state = self._states.get(key)
         if state is None:
             state = self._states[key] = _HistogramState(
@@ -258,35 +268,69 @@ class MetricsRegistry:
 
     The convenience methods (:meth:`inc`, :meth:`set_gauge`,
     :meth:`observe`) create metrics on first use, so instrumented layers
-    never have to pre-declare anything.
+    never have to pre-declare anything.  A metric name is validated when
+    the metric is first declared and a label set when it is first seen;
+    after that an update is one dict lookup and one lock acquisition.
+
+    Hot paths skip the updates altogether: :meth:`record` appends an
+    immutable event, and the event's ``fold(registry)`` makes its
+    updates later, through :meth:`apply_inc` / :meth:`apply_observe` /
+    :meth:`apply_set`.  Pending events are folded in append order under
+    the lock before every read and every eager update, so the metrics
+    are exactly those the same updates made eagerly would give.
     """
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        # MPI rank threads and the service's HTTP threads update
+        # concurrently; every update and every fold holds this lock.
         self._lock = threading.Lock()
+        self._events: list = []
+        self._labelsets: dict[tuple, LabelSet] = {}
 
     # -- declaration ------------------------------------------------------
 
-    def _get_or_create(self, name: str, factory, kind: str):
-        if not _NAME_RE.match(name):
-            raise ValueError(f"bad metric name {name!r}")
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = self._metrics[name] = factory()
-            elif metric.kind != kind:
-                raise ValueError(
-                    f"metric {name!r} already registered as {metric.kind}"
-                )
-            return metric
+    def _declare(self, name: str, cls, *args):
+        """The metric *name* of type *cls*, created on first use (lock held).
+
+        Updates look the metric up themselves and call this only when
+        the lookup does not find a *cls*.
+        """
+        metric = self._metrics.get(name)
+        if metric is None:
+            if not _NAME_RE.match(name):
+                raise ValueError(f"bad metric name {name!r}")
+            metric = self._metrics[name] = cls(name, *args)
+        elif metric.kind != cls.kind:
+            raise ValueError(
+                f"metric {name!r} already registered as {metric.kind}"
+            )
+        return metric
+
+    def _label_key(self, labels: dict[str, object]) -> LabelSet:
+        """The sorted label set of *labels*, validated on first sight.
+
+        The memo is keyed by the values' types too: ``1``, ``1.0`` and
+        ``True`` are equal dict keys but export as different values.
+        """
+        token = (tuple(labels.items()), tuple(map(type, labels.values())))
+        try:
+            key = self._labelsets.get(token)
+        except TypeError:  # an unhashable label value: not memoised
+            return _labelset(labels)
+        if key is None:
+            key = self._labelsets[token] = _labelset(labels)
+        return key
 
     def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(
-            name, lambda: Counter(name, help), "counter"
-        )
+        with self._lock:
+            self._fold()
+            return self._declare(name, Counter, help)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(name, lambda: Gauge(name, help), "gauge")
+        with self._lock:
+            self._fold()
+            return self._declare(name, Gauge, help)
 
     def histogram(
         self,
@@ -294,29 +338,89 @@ class MetricsRegistry:
         help: str = "",
         buckets: tuple[float, ...] = DEFAULT_BUCKETS,
     ) -> Histogram:
-        return self._get_or_create(
-            name, lambda: Histogram(name, help, buckets), "histogram"
-        )
+        with self._lock:
+            self._fold()
+            return self._declare(name, Histogram, help, buckets)
 
     # -- convenience -------------------------------------------------------
 
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
-        counter = self.counter(name)
-        with self._lock:  # MPI rank threads increment concurrently
-            counter.inc(value, **labels)
+        key = self._label_key(labels)
+        with self._lock:
+            self._fold()
+            self.apply_inc(name, value, key)
 
     def set_gauge(self, name: str, value: float, **labels) -> None:
-        gauge = self.gauge(name)
+        key = self._label_key(labels)
         with self._lock:
-            gauge.set(value, **labels)
+            self._fold()
+            self.apply_set(name, value, key)
 
     def observe(self, name: str, value: float, **labels) -> None:
-        histogram = self.histogram(name)
+        key = self._label_key(labels)
         with self._lock:
-            histogram.observe(value, **labels)
+            self._fold()
+            self.apply_observe(name, value, key)
+
+    # -- events ------------------------------------------------------------
+
+    def record(self, event) -> None:
+        """Queue *event* to be folded into the metrics at the next read.
+
+        One ``list.append``: no lock and no read-modify-write, so any
+        thread may record while another folds.
+        """
+        self._events.append(event)
+
+    def _fold(self) -> None:
+        """Apply the pending events in append order (lock held)."""
+        events = self._events
+        if events:
+            # Events appended while this runs stay past the slice and
+            # wait for the next fold: append and ``del`` are atomic.
+            n = len(events)
+            for event in events[:n]:
+                event.fold(self)
+            del events[:n]
+
+    def _sync(self) -> None:
+        """Fold the pending events, if any, before a read."""
+        if self._events:
+            with self._lock:
+                self._fold()
+
+    def apply_inc(self, name: str, value: float, key: LabelSet = ()) -> None:
+        """One counter update on a sorted label set of valid names.
+
+        The lock must be held: the eager updates call this, and so do
+        events' ``fold`` methods, which run inside :meth:`_fold`.
+        """
+        metric = self._metrics.get(name)
+        if type(metric) is not Counter:
+            metric = self._declare(name, Counter)
+        metric.inc_key(key, value)
+
+    def apply_observe(
+        self, name: str, value: float, key: LabelSet = ()
+    ) -> None:
+        """One histogram update (see :meth:`apply_inc`)."""
+        metric = self._metrics.get(name)
+        if type(metric) is not Histogram:
+            metric = self._declare(name, Histogram)
+        metric.observe_key(key, value)
+
+    def apply_set(self, name: str, value: float, key: LabelSet = ()) -> None:
+        """One gauge update (see :meth:`apply_inc`)."""
+        metric = self._metrics.get(name)
+        if type(metric) is not Gauge:
+            metric = self._declare(name, Gauge)
+        metric.set_key(key, value)
+
+    # -- reads -------------------------------------------------------------
 
     def value(self, name: str, **labels) -> float:
         """Current value of a counter/gauge (0.0 when never touched)."""
+        self._sync()
         metric = self._metrics.get(name)
         if metric is None:
             return 0.0
@@ -335,6 +439,7 @@ class MetricsRegistry:
         pair = (key, str(value))
         removed = 0
         with self._lock:
+            self._fold()
             for metric in self._metrics.values():
                 store = (
                     metric._states
@@ -348,9 +453,11 @@ class MetricsRegistry:
         return removed
 
     def names(self) -> list[str]:
+        self._sync()
         return sorted(self._metrics)
 
     def __contains__(self, name: str) -> bool:
+        self._sync()
         return name in self._metrics
 
     # -- exporters ---------------------------------------------------------

@@ -249,8 +249,9 @@ class TestImportSets:
         [
             (["campaign", "run", "--spec", "smoke"], "repro.campaign.orchestrator"),
             (["sweep", "smoke"], "repro.sweep.runner"),
+            (["sweep", "bude-tune"], "repro.sweep.runner"),
         ],
-        ids=["campaign-smoke", "sweep-smoke"],
+        ids=["campaign-smoke", "sweep-smoke", "sweep-bude-tune"],
     )
     def test_main_loads_no_module(self, argv, dispatch, tmp_path):
         # Start-up is timed apart from the run: an import that first

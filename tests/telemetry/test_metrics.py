@@ -1,9 +1,15 @@
 """Metrics registry: counters, gauges, histograms, exporters."""
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
+from repro.sim.engine import KernelEvent
+from repro.sim.kernel import KernelSpec
+from repro.sim.roofline import RooflinePoint
 from repro.telemetry.metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -264,3 +270,108 @@ class TestOpenMetricsExport:
             return reg.to_openmetrics()
 
         assert build() == build()
+
+
+class TestEventFold:
+    """Events recorded with ``record`` fold in before every read."""
+
+    @staticmethod
+    def _event():
+        return KernelEvent(
+            spec=KernelSpec("dgemm", flops=2.0, bytes_read=8.0),
+            system="aurora",
+            n_stacks=1,
+            point=RooflinePoint(3e-6, 1e-6, 0.0),
+            time_s=3e-6,
+            rep=0,
+            cache="hit",
+        )
+
+    def test_every_reader_sees_pending_events(self):
+        readers = [
+            lambda reg: reg.value("kernel.flops") == 2.0,
+            lambda reg: "kernel.count" in reg,
+            lambda reg: "kernel.time_us" in reg.names(),
+            lambda reg: reg.counter("simcache.hit").total() == 1.0,
+            lambda reg: reg.gauge("roofline.regime").value(kernel="dgemm") == 2.0,
+            lambda reg: reg.histogram("kernel.time_us").count(kernel="dgemm") == 1,
+            lambda reg: "kernel_count" in reg.to_prometheus(),
+            lambda reg: "kernel_count_total" in reg.to_openmetrics(),
+            lambda reg: "kernel.time_us" in reg.percentile_summary(),
+            lambda reg: "kernel.bytes" in reg.snapshot(),
+        ]
+        for read in readers:
+            reg = MetricsRegistry()
+            reg.record(self._event())
+            assert read(reg)
+
+    def test_drop_label_folds_first(self):
+        reg = MetricsRegistry()
+        reg.record(self._event())
+        assert reg.drop_label("kernel", "dgemm") == 4
+        assert reg.counter("kernel.count").total() == 0.0
+
+    def test_declaring_help_after_the_events_keeps_first_declaration(self):
+        # The events declared ``simcache.hit`` first (no help), exactly
+        # as the eager increments did.
+        reg = MetricsRegistry()
+        reg.record(self._event())
+        reg.counter("simcache.hit", "sim memo cache hits")
+        assert "# HELP simcache_hit" not in reg.to_prometheus()
+
+    def test_concurrent_records_are_folded_exactly_once(self):
+        reg = MetricsRegistry()
+        n_threads, per_thread = 4, 500
+        event = self._event()
+        start = threading.Barrier(n_threads + 1)
+
+        def work(rank):
+            start.wait()
+            for _ in range(per_thread):
+                reg.record(event)
+                reg.inc("mpi.messages", rank=rank)
+
+        threads = [
+            threading.Thread(target=work, args=(r,)) for r in range(n_threads)
+        ]
+        previous = sys.getswitchinterval()
+        # Switch threads every microsecond, so that records land while
+        # another thread is folding.
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            start.wait(timeout=30)
+            deadline = time.monotonic() + 30
+            while any(t.is_alive() for t in threads):
+                assert time.monotonic() < deadline
+                reg.snapshot()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        total = n_threads * per_thread
+        assert reg.counter("kernel.count").total() == total
+        assert reg.counter("simcache.hit").total() == total
+        assert reg.histogram("kernel.time_us").count(kernel="dgemm") == total
+        assert reg.value("kernel.flops") == 2.0 * total
+        assert reg.counter("mpi.messages").total() == total
+
+    def test_bad_names_raise_on_every_use(self):
+        reg = MetricsRegistry()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="bad metric name"):
+                reg.inc("kernel flops")
+            with pytest.raises(ValueError, match="bad label name"):
+                reg.observe("ok.name", 1.0, **{"le!": "x"})
+        assert reg.names() == []
+
+    def test_equal_label_values_of_other_types_stay_distinct(self):
+        reg = MetricsRegistry()
+        reg.inc("c", hops=1)
+        reg.inc("c", hops=True)
+        reg.inc("c", hops=1.0)
+        assert [dict(ls) for ls, _ in reg.counter("c").samples()] == [
+            {"hops": "1"}, {"hops": "1.0"}, {"hops": "True"},
+        ]
