@@ -41,12 +41,12 @@ class TestDistributedDrivers:
         assert result.histories == 800
 
     def test_allreduce_scaling_12_ranks(self, benchmark, aurora):
+        def allreduce(comm):
+            out = yield from comm.Allreduce(np.full(1024, comm.rank + 1.0))
+            return float(out[0])
+
         def run():
-            return SimMPI(aurora).run(
-                lambda comm: float(
-                    comm.Allreduce(np.full(1024, comm.rank + 1.0))[0]
-                )
-            )
+            return SimMPI(aurora).run(allreduce)
 
         results = benchmark(run)
         assert results[0] == pytest.approx(sum(range(1, 13)))

@@ -52,7 +52,7 @@ def main() -> None:
         left = (comm.rank - 1) % comm.size
         right = (comm.rank + 1) % comm.size
         for _ in range(10):
-            exchange_halos(comm, local, left, right)
+            yield from exchange_halos(comm, local, left, right)
             comm.advance(0.001)  # local compute per step
         return comm.now
 

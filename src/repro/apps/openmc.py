@@ -25,6 +25,7 @@ Dawn was not measured — the model predicts it from the PVC rate).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Generator
 
 import numpy as np
 
@@ -439,8 +440,9 @@ class KEigenvalueSolver:
 
 def run_distributed(
     comm, problem: TransportProblem, histories_per_rank: int, seed: int = 0
-) -> TransportResult:
-    """Weak-scaled transport over the simulated MPI job.
+) -> Generator[object, None, TransportResult]:
+    """Weak-scaled transport over the simulated MPI job (a generator rank
+    program for :meth:`repro.runtime.mpi.SimMPI.run`).
 
     Each rank transports its own histories with an independent RNG
     stream, then the mesh tallies and scalar counters are reduced —
@@ -448,8 +450,8 @@ def run_distributed(
     the sum of the per-rank runs by construction (tested).
     """
     local = problem.run(histories_per_rank, seed=seed + 1000 * comm.rank)
-    flux = comm.Allreduce(local.flux)
-    counters = comm.Allreduce(
+    flux = yield from comm.Allreduce(local.flux)
+    counters = yield from comm.Allreduce(
         np.array(
             [
                 float(local.collisions),

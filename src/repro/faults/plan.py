@@ -85,9 +85,6 @@ class FaultPlan:
     scenario: str
     seed: int
     events: tuple[FaultEvent, ...] = ()
-    #: Optional override for the simulated-MPI deadlock watchdog, so hang
-    #: scenarios surface in seconds instead of the default 60 s timeout.
-    mpi_timeout_s: float | None = None
 
     def tick_events(self) -> list[FaultEvent]:
         return sorted(

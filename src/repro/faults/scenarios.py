@@ -33,9 +33,6 @@ _TOPOLOGY_TICK_RANGE = (4, 28)
 #: the resilient runner's quarantine threshold.
 _THROTTLE_RATIO = 0.4
 
-#: Watchdog override used by hang scenarios so a hung rank surfaces fast.
-_HANG_TIMEOUT_S = 2.0
-
 
 def _device_loss(draw: SeededDraw, node: Node) -> list[FaultEvent]:
     ref = draw.choice(node.stacks(), "stack")
@@ -182,26 +179,17 @@ def build_campaign_plan(
 def build_plan(scenario: str, seed: int, node: Node) -> FaultPlan:
     """Build the deterministic fault schedule for one system."""
     key = scenario.strip().lower()
-    timeout = None
     if key == "all":
         events: list[FaultEvent] = []
         for name in _ALL:
             draw = SeededDraw(seed, f"{name}:{node.name}")
             events.extend(_BUILDERS[name](draw, node))
-        timeout = _HANG_TIMEOUT_S
     elif key in _BUILDERS:
         draw = SeededDraw(seed, f"{key}:{node.name}")
         events = _BUILDERS[key](draw, node)
-        if key == "mpi-hang":
-            timeout = _HANG_TIMEOUT_S
     else:
         raise ScenarioError(
             f"unknown fault scenario {scenario!r}; "
             f"known: {', '.join(SCENARIO_NAMES)}"
         )
-    return FaultPlan(
-        scenario=key,
-        seed=seed,
-        events=tuple(events),
-        mpi_timeout_s=timeout,
-    )
+    return FaultPlan(scenario=key, seed=seed, events=tuple(events))

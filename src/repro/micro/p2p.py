@@ -155,12 +155,14 @@ class P2PBandwidth(MicroBenchmark):
                     comm.Isend(payload, peer, tag=1, nbytes=nbytes),
                     comm.Irecv(peer, tag=1),
                 ]
-                out = comm.Waitall(reqs)[1]
+                out = (yield from comm.Waitall(reqs))[1]
             elif me == rank_a:
-                comm.Waitall([comm.Isend(payload, peer, tag=2, nbytes=nbytes)])
+                yield from comm.Waitall(
+                    [comm.Isend(payload, peer, tag=2, nbytes=nbytes)]
+                )
                 out = payload
             else:
-                out = comm.Waitall([comm.Irecv(peer, tag=2)])[0]
+                out = (yield from comm.Waitall([comm.Irecv(peer, tag=2)]))[0]
             assert out is not None and out[0] == 7.0
             return comm.now
 

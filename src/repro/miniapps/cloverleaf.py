@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.registry import register
 from ..errors import ConfigurationError
-from ..runtime.mpi import Communicator
+from ..runtime.mpi import Blocking, Communicator
 from ..sim.calibration import CloverLeafCalibration, get_app_calibration
 from ..sim.engine import PerfEngine
 from .base import MiniApp
@@ -264,20 +264,25 @@ class EulerSolver2D:
 
 def exchange_halos(
     comm: Communicator, u: np.ndarray, left: int | None, right: int | None
-) -> tuple[np.ndarray | None, np.ndarray | None]:
+) -> Blocking:
     """Exchange one-column halos with strip-decomposition neighbours.
 
-    Returns (halo from left neighbour, halo from right neighbour); the
-    payloads ride the simulated fabric, advancing virtual clocks.
+    A blocking exchange for a generator rank program: ``halo_l, halo_r =
+    yield from exchange_halos(comm, u, left, right)`` gives (halo from
+    left neighbour, halo from right neighbour); the payloads ride the
+    simulated fabric, advancing virtual clocks.
     """
     reqs = []
     if right is not None:
         reqs.append(comm.Isend(np.ascontiguousarray(u[:, :, -1]), right, tag=11))
     if left is not None:
         reqs.append(comm.Isend(np.ascontiguousarray(u[:, :, 0]), left, tag=12))
-    from_left = comm.Irecv(left, tag=11).wait() if left is not None else None
-    from_right = comm.Irecv(right, tag=12).wait() if right is not None else None
-    comm.Waitall(reqs)
+    from_left = from_right = None
+    if left is not None:
+        from_left = yield from comm.Irecv(left, tag=11).wait()
+    if right is not None:
+        from_right = yield from comm.Irecv(right, tag=12).wait()
+    yield from comm.Waitall(reqs)
     return from_left, from_right
 
 
@@ -328,10 +333,10 @@ def run_distributed(
         left = (comm.rank - 1) % comm.size
         right = (comm.rank + 1) % comm.size
         for dt in dts:
-            halo_l, halo_r = exchange_halos(comm, local, left, right)
+            halo_l, halo_r = yield from exchange_halos(comm, local, left, right)
             local = sweep_x(local, halo_l, halo_r, 0.5 * dt)
             local = sweep_y(local, dt)
-            halo_l, halo_r = exchange_halos(comm, local, left, right)
+            halo_l, halo_r = yield from exchange_halos(comm, local, left, right)
             local = sweep_x(local, halo_l, halo_r, 0.5 * dt)
         return local, comm.now
 

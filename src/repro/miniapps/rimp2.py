@@ -22,6 +22,7 @@ paper's missing column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Generator
 
 import numpy as np
 
@@ -110,8 +111,11 @@ def rimp2_energy(inp: Rimp2Input) -> float:
     return energy
 
 
-def rimp2_energy_distributed(comm, inp: Rimp2Input) -> float:
-    """Strong-scaled RI-MP2 over the simulated MPI job.
+def rimp2_energy_distributed(
+    comm, inp: Rimp2Input
+) -> Generator[object, None, float]:
+    """Strong-scaled RI-MP2 over the simulated MPI job (a generator rank
+    program: ``SimMPI.run(lambda comm: rimp2_energy_distributed(comm, inp))``).
 
     The mini-app's decomposition: occupied pairs (i, j) are dealt
     round-robin to ranks, each rank runs its DGEMMs + reductions, and one
@@ -133,7 +137,7 @@ def rimp2_energy_distributed(comm, inp: Rimp2Input) -> float:
             - inp.e_virt[None, :]
         )
         local += float(np.sum(v_ab * (2.0 * v_ab - v_ab.T) / denom))
-    total = comm.Allreduce(np.array([local]))
+    total = yield from comm.Allreduce(np.array([local]))
     return float(total[0])
 
 

@@ -10,11 +10,12 @@ performance engine hands each kernel event to
 :meth:`ApiProfiler.record_kernel`, whenever the telemetry session
 carries a profiler.
 
-Determinism contract (same as the tracer/metrics exporters): MPI ranks
-run as threads, so the *insertion order* of records is scheduler
-dependent — every aggregation therefore sorts the raw records by their
-full content before folding, and all times derive from the simulated
-clock plus a fixed per-API host-overhead table, never the wall clock.
+Determinism contract (same as the tracer/metrics exporters): every
+aggregation sorts the raw records by their full content before folding,
+so a profile does not depend on the order its records arrived in, and
+all times derive from the simulated clock plus a fixed per-API
+host-overhead table, never the wall clock.  (The simulated MPI runs its
+ranks on one deterministic scheduler, so even the raw order repeats.)
 Two runs with the same seed produce byte-identical profile documents.
 """
 
@@ -221,9 +222,8 @@ class _Stat:
 class ApiProfiler:
     """Collects intercepted API calls and kernel samples for one run.
 
-    Thread safe: MPI rank threads record concurrently.  All query
-    methods aggregate over a content-sorted copy of the raw records, so
-    results are independent of thread interleaving.
+    Thread safe.  All query methods aggregate over a content-sorted
+    copy of the raw records, so results are independent of record order.
     """
 
     def __init__(self) -> None:
@@ -363,7 +363,7 @@ class ApiProfiler:
     # ------------------------------------------------------------------
 
     def calls(self) -> list[ApiCall]:
-        """Raw calls in content order (thread-schedule independent)."""
+        """Raw calls in content order (record-order independent)."""
         with self._lock:
             return sorted(self._calls, key=ApiCall.order_key)
 

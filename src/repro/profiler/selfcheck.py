@@ -52,8 +52,10 @@ def _exercise():
     queue.free(dev)
     queue.free(host)
 
-    mpi = SimMPI(engine, n_ranks=2)
-    mpi.run(lambda comm: comm.Barrier())
+    def barrier(comm):
+        yield from comm.Barrier()
+
+    SimMPI(engine, n_ranks=2).run(barrier)
     return telemetry.profiler
 
 

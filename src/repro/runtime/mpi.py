@@ -5,26 +5,34 @@ support that can transfer GPU buffers using the MPI routines.
 Non-blocking routines such as MPI_Isend() and MPI_IRecv() are used"
 (Section IV-A.4).  This module provides that API over the simulated node:
 
-* SPMD execution: :meth:`SimMPI.run` launches one Python thread per rank;
+* SPMD execution: :meth:`SimMPI.run` calls ``fn(comm)`` once per rank on
+  one thread.  A rank program that communicates is a generator and drives
+  every blocking call with ``yield from`` (``out = yield from
+  comm.Recv(source=0)``); a blocked call yields what it waits for, and
+  the scheduler always resumes the lowest-numbered rank that can make
+  progress.  A plain function that never blocks works unchanged: its
+  return value is the rank's result;
 * each rank owns a **virtual clock**; communication advances clocks with
-  Lamport-style ``max(local, remote_send + transfer_time)`` so timing is
-  deterministic regardless of thread scheduling;
+  Lamport-style ``max(local, remote_send + transfer_time)``;
 * GPU buffers route through the fabric model (local MDFI pair vs remote
   Xe-Link with plane routing), host payloads through PCIe/DDR;
 * collectives (barrier, allreduce, bcast, gather, allgather) use a
   log2(P) tree cost model.
 
-Deadlocks in user code surface as :class:`repro.errors.MPIError` after a
-timeout rather than hanging the test suite.
+Results, virtual times, traces and profiles are therefore a pure
+function of (program, fault plan).  A deadlock — no rank can move and
+not all have finished — raises :class:`repro.errors.MPIError` at once,
+naming each blocked rank's pending operation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from types import GeneratorType
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,9 +41,9 @@ from ..hw.ids import StackRef
 from ..sim.engine import PerfEngine
 from .binding import RankBinding, explicit_scaling_binding
 
-__all__ = ["SimMPI", "Communicator", "Request", "SUM", "MAX", "MIN"]
-
-_TIMEOUT_S = 60.0
+__all__ = [
+    "SimMPI", "Communicator", "Request", "Blocking", "SUM", "MAX", "MIN",
+]
 
 SUM = "sum"
 MAX = "max"
@@ -73,33 +81,35 @@ class _Message:
     transfer_s: float = 0.0
 
 
+class _Wait(NamedTuple):
+    """What a blocked rank waits for, and whether it can now finish."""
+
+    what: str
+    ready: Callable[[], bool]
+
+
+#: A rank that has not run yet can always start.
+_START = _Wait("start", lambda: True)
+#: The injected-hang rank: it never runs.
+_HUNG = _Wait("injected hang", lambda: False)
+
+#: What a blocking call's generator yields while it waits, and returns.
+Blocking = Generator[_Wait, None, object]
+
+
 class _Context:
     """State shared by all ranks of one run."""
 
-    def __init__(self, size: int, timeout_s: float | None = None) -> None:
+    def __init__(self, size: int) -> None:
         self.size = size
-        self.cond = threading.Condition()
         self.mailboxes: dict[tuple[int, int, int], deque[_Message]] = {}
         self.coll_gen = 0
         self.coll_entries: dict[int, dict[int, tuple[float, object]]] = {}
         self.coll_result: dict[int, tuple[float, object]] = {}
-        #: Set (once) when any rank raises: ``(rank, exception)``.  Every
-        #: wait predicate checks it, so surviving ranks fail fast instead
-        #: of blocking out their full timeout.
+        #: Set (once) when any rank raises: ``(rank, exception)``.  From
+        #: then on every blocked rank that cannot finish gets the poisoned
+        #: error thrown in instead of waiting for a peer that never comes.
         self.poison: tuple[int, BaseException] | None = None
-        self._timeout_s = timeout_s
-
-    @property
-    def timeout_s(self) -> float:
-        # Fall back to the module global at *wait* time so tests that
-        # monkeypatch ``_TIMEOUT_S`` keep working.
-        return self._timeout_s if self._timeout_s is not None else _TIMEOUT_S
-
-    def set_poison(self, rank: int, exc: BaseException) -> None:
-        with self.cond:
-            if self.poison is None:
-                self.poison = (rank, exc)
-            self.cond.notify_all()
 
 
 def _poison_error(ctx: _Context, rank: int, doing: str) -> MPIError:
@@ -114,6 +124,30 @@ def _poison_error(ctx: _Context, rank: int, doing: str) -> MPIError:
     return err
 
 
+class _Call:
+    """One blocking MPI call; a rank program drives it with ``yield from``."""
+
+    __slots__ = ("_comm", "_gen")
+
+    def __init__(self, comm: "Communicator", gen: Blocking) -> None:
+        self._comm = comm
+        self._gen = gen
+
+    def __iter__(self) -> Blocking:
+        self._comm._undriven = None
+        return self._gen
+
+
+def _blocking(method: Callable[..., Blocking]) -> Callable[..., _Call]:
+    """Make a generator method a blocking call (see :meth:`Communicator._call`)."""
+
+    @functools.wraps(method)
+    def call(self: "Communicator", *args, **kw) -> _Call:
+        return self._call(method.__name__, method(self, *args, **kw))
+
+    return call
+
+
 class Request:
     """A non-blocking communication handle."""
 
@@ -124,24 +158,26 @@ class Request:
         self._done = False
         self._payload: np.ndarray | None = None
 
-    def wait(self) -> np.ndarray | None:
-        """Complete the operation, advancing the rank's virtual clock."""
+    def wait(self) -> _Call:
+        """Complete the operation, advancing the rank's virtual clock:
+        ``payload = yield from request.wait()``."""
+        return self._comm._call("Wait", self._wait())
+
+    def _wait(self) -> Blocking:
         if self._done:
             return self._payload
-        before = self._comm._vtime
+        comm = self._comm
+        before = comm._vtime
         if self._kind == "send":
-            self._comm._complete_send(self._kw["vtime_done"])
+            comm._vtime = max(comm._vtime, self._kw["vtime_done"])
         else:
-            self._payload = self._comm._complete_recv(
+            self._payload = yield from comm._complete_recv(
                 self._kw["source"], self._kw["tag"], self._kw["post_vtime"]
             )
         self._done = True
         # Host time charged to MPI_Wait is the virtual time this rank
         # spent blocked, plus the fixed call overhead.
-        self._comm._profile(
-            "MPI_Wait",
-            host_us=2.0 + (self._comm._vtime - before) * 1e6,
-        )
+        comm._profile("MPI_Wait", host_us=2.0 + (comm._vtime - before) * 1e6)
         return self._payload
 
     @property
@@ -164,6 +200,11 @@ class Communicator:
         self.binding = binding
         self._bindings = list(bindings)
         self._vtime = 0.0
+        #: True once the scheduler drives this rank's program as a
+        #: generator; until then a blocking call has nothing to yield to.
+        self._driven = False
+        #: The blocking call made but not yet driven with ``yield from``.
+        self._undriven: str | None = None
         tel = engine.telemetry
         self._tel = tel
         self._lane = tel.rank_lane(binding.rank) if tel is not None else None
@@ -172,6 +213,24 @@ class Communicator:
             from ..profiler.core import MPI_POINTS
 
             self._profiler.register("mpi", *MPI_POINTS)
+
+    def _call(self, name: str, gen: Blocking) -> _Call:
+        """Hand out a blocking call, refusing one that would be skipped:
+        a plain (non-generator) program cannot wait, and a call left
+        undriven never ran."""
+        problem = None
+        if not self._driven:
+            problem = (
+                f"{name} blocks; a rank program that calls it must be a "
+                f"generator using `yield from comm.{name}(...)`"
+            )
+        elif self._undriven is not None:
+            problem = f"{self._undriven} was called without `yield from`"
+        if problem is not None:
+            gen.close()
+            raise MPIError(f"rank {self.rank}: {problem}")
+        self._undriven = name
+        return _Call(self, gen)
 
     def _profile(self, name: str, **kw) -> None:
         """One intercepted MPI call.  Rank virtual clocks restart at zero
@@ -270,10 +329,9 @@ class Communicator:
             checksum=checksum,
             transfer_s=transfer_s,
         )
-        key = (self.rank, dest, tag)
-        with self._ctx.cond:
-            self._ctx.mailboxes.setdefault(key, deque()).append(msg)
-            self._ctx.cond.notify_all()
+        self._ctx.mailboxes.setdefault((self.rank, dest, tag), deque()).append(
+            msg
+        )
         done = self._vtime + transfer_s
         self._trace(
             f"send -> rank {dest}",
@@ -289,58 +347,52 @@ class Communicator:
         return Request(self, "send", vtime_done=done)
 
     def Irecv(self, source: int, tag: int = 0) -> Request:
-        """Non-blocking receive; ``wait()`` returns the array."""
+        """Non-blocking receive; ``yield from req.wait()`` returns the array."""
         self._check_rank(source)
         self._profile("MPI_Irecv")
         return Request(
             self, "recv", source=source, tag=tag, post_vtime=self._vtime
         )
 
-    def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
-        self.Isend(buf, dest, tag).wait()
+    @_blocking
+    def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> Blocking:
+        yield from self.Isend(buf, dest, tag)._wait()
 
-    def Recv(self, source: int, tag: int = 0) -> np.ndarray:
-        out = self.Irecv(source, tag).wait()
+    @_blocking
+    def Recv(self, source: int, tag: int = 0) -> Blocking:
+        out = yield from self.Irecv(source, tag)._wait()
         assert out is not None
         return out
 
-    def Waitall(self, requests: Sequence[Request]) -> list[np.ndarray | None]:
-        return [r.wait() for r in requests]
+    @_blocking
+    def Waitall(self, requests: Sequence[Request]) -> Blocking:
+        out = []
+        for request in requests:
+            out.append((yield from request._wait()))
+        return out
 
-    def Sendrecv(
-        self, buf: np.ndarray, peer: int, tag: int = 0
-    ) -> np.ndarray:
+    @_blocking
+    def Sendrecv(self, buf: np.ndarray, peer: int, tag: int = 0) -> Blocking:
         """Simultaneous exchange with *peer* (used by the bidirectional
         bandwidth benchmark)."""
         send = self.Isend(buf, peer, tag)
         recv = self.Irecv(peer, tag)
-        out = recv.wait()
-        send.wait()
+        out = yield from recv._wait()
+        yield from send._wait()
         assert out is not None
         return out
 
-    def _complete_send(self, vtime_done: float) -> None:
-        self._vtime = max(self._vtime, vtime_done)
-
-    def _complete_recv(self, source: int, tag: int, post_vtime: float) -> np.ndarray:
+    def _complete_recv(
+        self, source: int, tag: int, post_vtime: float
+    ) -> Blocking:
         key = (source, self.rank, tag)
-        ctx = self._ctx
-        with ctx.cond:
-            ok = ctx.cond.wait_for(
-                lambda: ctx.poison is not None or ctx.mailboxes.get(key),
-                timeout=ctx.timeout_s,
+        mailboxes = self._ctx.mailboxes
+        while not mailboxes.get(key):
+            yield _Wait(
+                f"Recv(source={source}, tag={tag})",
+                lambda: bool(mailboxes.get(key)),
             )
-            if not ctx.mailboxes.get(key):
-                if ctx.poison is not None:
-                    raise _poison_error(
-                        ctx, self.rank, f"recv from {source} tag {tag}"
-                    )
-                assert not ok
-                raise MPIError(
-                    f"rank {self.rank}: recv from {source} tag {tag} timed out"
-                    " (deadlock?)"
-                )
-            msg = ctx.mailboxes[key].popleft()
+        msg = mailboxes[key].popleft()
         faults = self._engine.faults
         if (
             msg.checksum is not None
@@ -369,37 +421,25 @@ class Communicator:
     # -- collectives ---------------------------------------------------------
 
     def _collective(
-        self, value: object, finish: Callable, label: str = "collective"
-    ) -> object:
+        self, value: object, finish: Callable, label: str, what: str
+    ) -> Blocking:
         """Generic rendezvous: all ranks deposit (vtime, value); the last
         arrival computes the result and the completion time."""
         ctx = self._ctx
         entered = self._vtime
-        with ctx.cond:
-            gen = ctx.coll_gen
-            entries = ctx.coll_entries.setdefault(gen, {})
-            if self.rank in entries:
-                raise MPIError("rank entered the same collective twice")
-            entries[self.rank] = (self._vtime, value)
-            if len(entries) == ctx.size:
-                vtimes = [t for t, _ in entries.values()]
-                values = {r: v for r, (_, v) in entries.items()}
-                result, cost = finish(values)
-                ctx.coll_result[gen] = (max(vtimes) + cost, result)
-                ctx.coll_gen += 1
-                ctx.cond.notify_all()
-            else:
-                ok = ctx.cond.wait_for(
-                    lambda: gen in ctx.coll_result or ctx.poison is not None,
-                    timeout=ctx.timeout_s,
-                )
-                if gen not in ctx.coll_result:
-                    if ctx.poison is not None:
-                        raise _poison_error(ctx, self.rank, "collective")
-                    assert not ok
-                    raise MPIError(
-                        f"rank {self.rank}: collective timed out (deadlock?)"
-                    )
+        gen = ctx.coll_gen
+        entries = ctx.coll_entries.setdefault(gen, {})
+        if self.rank in entries:
+            raise MPIError("rank entered the same collective twice")
+        entries[self.rank] = (self._vtime, value)
+        if len(entries) == ctx.size:
+            vtimes = [t for t, _ in entries.values()]
+            values = {r: v for r, (_, v) in entries.items()}
+            result, cost = finish(values)
+            ctx.coll_result[gen] = (max(vtimes) + cost, result)
+            ctx.coll_gen += 1
+        while gen not in ctx.coll_result:
+            yield _Wait(what, lambda: gen in ctx.coll_result)
         done_vtime, result = ctx.coll_result[gen]
         self._vtime = max(self._vtime, done_vtime)
         self._trace(label, entered, self._vtime - entered)
@@ -420,12 +460,17 @@ class Communicator:
         per_stage = self._engine.p2p_transfer_time(ref_a, ref_b, max(nbytes, 1))
         return stages * per_stage
 
-    def Barrier(self) -> None:
-        self._collective(
-            None, lambda values: (None, self._tree_cost(8)), label="barrier"
+    @_blocking
+    def Barrier(self) -> Blocking:
+        yield from self._collective(
+            None,
+            lambda values: (None, self._tree_cost(8)),
+            "barrier",
+            "Barrier()",
         )
 
-    def Allreduce(self, array: np.ndarray, op: str = SUM) -> np.ndarray:
+    @_blocking
+    def Allreduce(self, array: np.ndarray, op: str = SUM) -> Blocking:
         array = np.asarray(array)
         try:
             reducer = _OPS[op]
@@ -436,9 +481,14 @@ class Communicator:
             stacked = np.stack([values[r] for r in sorted(values)])
             return reducer(stacked, axis=0), 2 * self._tree_cost(array.nbytes)
 
-        return self._collective(array.copy(), finish, label="allreduce")  # type: ignore[return-value]
+        return (
+            yield from self._collective(
+                array.copy(), finish, "allreduce", f"Allreduce(op={op!r})"
+            )
+        )
 
-    def Bcast(self, array: np.ndarray | None, root: int = 0) -> np.ndarray:
+    @_blocking
+    def Bcast(self, array: np.ndarray | None, root: int = 0) -> Blocking:
         self._check_rank(root)
 
         def finish(values: dict[int, object]):
@@ -448,25 +498,35 @@ class Communicator:
             return payload, self._tree_cost(np.asarray(payload).nbytes)
 
         value = array.copy() if (self.rank == root and array is not None) else None
-        out = self._collective(value, finish, label="bcast")
+        out = yield from self._collective(
+            value, finish, "bcast", f"Bcast(root={root})"
+        )
         return np.asarray(out)
 
-    def Gather(self, array: np.ndarray, root: int = 0) -> list[np.ndarray] | None:
+    @_blocking
+    def Gather(self, array: np.ndarray, root: int = 0) -> Blocking:
         self._check_rank(root)
 
         def finish(values: dict[int, np.ndarray]):
             ordered = [values[r] for r in sorted(values)]
             return ordered, self._tree_cost(array.nbytes)
 
-        out = self._collective(np.asarray(array).copy(), finish, label="gather")
-        return out if self.rank == root else None  # type: ignore[return-value]
+        out = yield from self._collective(
+            np.asarray(array).copy(), finish, "gather", f"Gather(root={root})"
+        )
+        return out if self.rank == root else None
 
-    def Allgather(self, array: np.ndarray) -> list[np.ndarray]:
+    @_blocking
+    def Allgather(self, array: np.ndarray) -> Blocking:
         def finish(values: dict[int, np.ndarray]):
             ordered = [values[r] for r in sorted(values)]
             return ordered, 2 * self._tree_cost(array.nbytes)
 
-        return self._collective(np.asarray(array).copy(), finish, label="allgather")  # type: ignore
+        return (
+            yield from self._collective(
+                np.asarray(array).copy(), finish, "allgather", "Allgather()"
+            )
+        )
 
 
 class SimMPI:
@@ -476,20 +536,9 @@ class SimMPI:
     rank-to-core/stack binding follows Section IV-A.
     """
 
-    def __init__(
-        self,
-        engine: PerfEngine,
-        n_ranks: int | None = None,
-        *,
-        timeout_s: float | None = None,
-    ) -> None:
+    def __init__(self, engine: PerfEngine, n_ranks: int | None = None) -> None:
         self.engine = engine
         self.bindings = explicit_scaling_binding(engine.node, n_ranks)
-        if timeout_s is None and engine.faults is not None:
-            # Fault plans with hang events shorten the deadlock watchdog
-            # so a hung rank surfaces in seconds, not minutes.
-            timeout_s = engine.faults.plan.mpi_timeout_s
-        self.timeout_s = timeout_s
 
     @property
     def size(self) -> int:
@@ -498,68 +547,115 @@ class SimMPI:
     def run(self, fn: Callable[[Communicator], object]) -> list[object]:
         """Run ``fn(comm)`` on every rank; returns per-rank results.
 
-        If any rank raises, the shared context is *poisoned*: every rank
-        blocked in a wait fails immediately instead of sitting out its
-        timeout, and the first failure is re-raised with a
-        ``failing_rank`` attribute identifying the culprit.
+        One thread runs every rank: the scheduler resumes the
+        lowest-numbered rank that can make progress until all finish.
+        If a rank raises, the run is *poisoned*: every rank blocked on a
+        call that cannot finish gets a poisoned :class:`MPIError` thrown
+        in, and the root-cause error is re-raised with a ``failing_rank``
+        attribute identifying the culprit.  An injected hang's rank never
+        runs; it fails as soon as no other rank can move.
         """
-        ctx = _Context(self.size, self.timeout_s)
+        ctx = _Context(self.size)
+        faults = self.engine.faults
+        hang = faults.mpi_hang_rank(self.size) if faults is not None else None
+        comms = [
+            Communicator(ctx, self.engine, binding, self.bindings)
+            for binding in self.bindings
+        ]
         results: list[object] = [None] * self.size
         errors: list[BaseException | None] = [None] * self.size
-        faults = self.engine.faults
-        hang_rank = (
-            faults.mpi_hang_rank(self.size) if faults is not None else None
-        )
+        programs: dict[int, Generator] = {}
+        #: Per rank: what it waits for, or None once it has finished.
+        state: list[_Wait | None] = [_START] * self.size
+        if hang is not None:
+            state[hang] = _HUNG
 
-        def worker(rank: int) -> None:
-            comm = Communicator(
-                ctx, self.engine, self.bindings[rank], self.bindings
-            )
-            try:
-                if rank == hang_rank:
-                    _hang(ctx, rank)
-                results[rank] = fn(comm)
-            except BaseException as exc:  # noqa: BLE001 - reraised below
-                errors[rank] = exc
-                ctx.set_poison(rank, exc)
-                tel = self.engine.telemetry
-                if tel is not None:
-                    poisoned = getattr(exc, "poisoned", False)
-                    tel.instant_fault(
-                        f"rank {rank} "
-                        + ("abandoned (peer failed)" if poisoned else "failed"),
-                        lane=tel.rank_lane(rank),
-                        ts_us=comm.now * 1e6,
-                        kind="mpi-poisoned" if poisoned else "mpi-abort",
-                        error=type(exc).__name__,
-                    )
-
-        def _hang(ctx: _Context, rank: int) -> None:
-            # An injected hang: the rank goes silent, then reports itself
-            # at half the watchdog — before its peers' waits expire — so
-            # the hang (not the peers' timeouts) is the root cause that
-            # poisons the job.
-            with ctx.cond:
-                ctx.cond.wait_for(
-                    lambda: ctx.poison is not None,
-                    timeout=ctx.timeout_s / 2,
+        def fail(rank: int, exc: BaseException) -> None:
+            state[rank] = None
+            errors[rank] = exc
+            if ctx.poison is None:
+                ctx.poison = (rank, exc)
+            tel = self.engine.telemetry
+            if tel is not None:
+                poisoned = getattr(exc, "poisoned", False)
+                tel.instant_fault(
+                    f"rank {rank} "
+                    + ("abandoned (peer failed)" if poisoned else "failed"),
+                    lane=tel.rank_lane(rank),
+                    ts_us=comms[rank].now * 1e6,
+                    kind="mpi-poisoned" if poisoned else "mpi-abort",
+                    error=type(exc).__name__,
                 )
-            raise MPIError(f"rank {rank} hung (injected fault)")
 
-        threads = [
-            threading.Thread(target=worker, args=(r,), daemon=True)
-            for r in range(self.size)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=ctx.timeout_s * 2)
+        def resume(rank: int) -> None:
+            wait, comm = state[rank], comms[rank]
+            assert wait is not None
+            try:
+                if wait is _START:
+                    program = fn(comm)
+                    if not isinstance(program, GeneratorType):
+                        state[rank], results[rank] = None, program
+                        return
+                    programs[rank] = program
+                    comm._driven = True
+                    step = program.send(None)
+                elif wait.ready():
+                    step = programs[rank].send(None)
+                else:
+                    step = programs[rank].throw(
+                        _poison_error(ctx, rank, wait.what)
+                    )
+            except StopIteration as stop:
+                step, results[rank] = None, stop.value
+            except Exception as exc:  # the rank failed: poison the run
+                fail(rank, exc)
+                return
+            if comm._undriven is not None:
+                problem = f"{comm._undriven} was called without `yield from`"
+            elif step is not None and not isinstance(step, _Wait):
+                problem = (
+                    f"yielded {step!r}; rank programs yield only through "
+                    "blocking MPI calls"
+                )
+            else:
+                state[rank] = step
+                return
+            if step is not None:
+                programs[rank].close()
+            fail(rank, MPIError(f"rank {rank}: {problem}"))
+
+        def runnable() -> int | None:
+            for rank, wait in enumerate(state):
+                if wait is None or wait is _HUNG:
+                    continue
+                if ctx.poison is not None or wait.ready():
+                    return rank
+            return None
+
+        while True:
+            rank = runnable()
+            if rank is not None:
+                resume(rank)
+            elif hang is not None and state[hang] is _HUNG:
+                fail(hang, MPIError(f"rank {hang} hung (injected fault)"))
+            else:
+                break
+        stuck = {r: wait for r, wait in enumerate(state) if wait is not None}
+        if stuck:
+            # Nothing failed, nothing can move: a deadlock in the program.
+            err = MPIError(
+                "deadlock: no rank can progress; "
+                + "; ".join(
+                    f"rank {r} blocked in {wait.what}"
+                    for r, wait in stuck.items()
+                )
+            )
+            for r in stuck:
+                programs[r].close()
+                fail(r, err)
         primary = self._primary_error(errors)
         if primary is not None:
             raise primary
-        hung = [i for i, t in enumerate(threads) if t.is_alive()]
-        if hung:
-            raise MPIError(f"ranks {hung} did not terminate (deadlock?)")
         return results
 
     @staticmethod

@@ -71,6 +71,29 @@ def _prom_labels(labels: LabelSet) -> str:
     return "{" + inner + "}"
 
 
+def _histogram_lines(prom: str, metric: Histogram) -> list[str]:
+    """One histogram's ``_bucket``/``_sum``/``_count`` samples, the same in
+    the Prometheus and OpenMetrics expositions."""
+    lines: list[str] = []
+    for labels, state in metric.samples():
+        cumulative = 0
+        for bound, count in zip(metric.buckets, state.counts):
+            cumulative += count
+            le = dict(labels)
+            le["le"] = _prom_number(bound)
+            lines.append(
+                f"{prom}_bucket{_prom_labels(_labelset(le))} {cumulative}"
+            )
+        le = dict(labels)
+        le["le"] = "+Inf"
+        lines.append(f"{prom}_bucket{_prom_labels(_labelset(le))} {state.total}")
+        lines.append(
+            f"{prom}_sum{_prom_labels(labels)} {_prom_number(state.sum)}"
+        )
+        lines.append(f"{prom}_count{_prom_labels(labels)} {state.total}")
+    return lines
+
+
 @dataclass
 class Counter:
     """A monotonically increasing value (per label set)."""
@@ -282,7 +305,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
-        # MPI rank threads and the service's HTTP threads update
+        # The service's HTTP and executor threads update
         # concurrently; every update and every fold holds this lock.
         self._lock = threading.Lock()
         self._events: list = []
@@ -472,29 +495,7 @@ class MetricsRegistry:
                 lines.append(f"# HELP {prom} {metric.help}")
             lines.append(f"# TYPE {prom} {metric.kind}")
             if isinstance(metric, Histogram):
-                for labels, state in metric.samples():
-                    cumulative = 0
-                    for bound, count in zip(metric.buckets, state.counts):
-                        cumulative += count
-                        le = dict(labels)
-                        le["le"] = _prom_number(bound)
-                        lines.append(
-                            f"{prom}_bucket{_prom_labels(_labelset(le))} "
-                            f"{cumulative}"
-                        )
-                    le = dict(labels)
-                    le["le"] = "+Inf"
-                    lines.append(
-                        f"{prom}_bucket{_prom_labels(_labelset(le))} "
-                        f"{state.total}"
-                    )
-                    lines.append(
-                        f"{prom}_sum{_prom_labels(labels)} "
-                        f"{_prom_number(state.sum)}"
-                    )
-                    lines.append(
-                        f"{prom}_count{_prom_labels(labels)} {state.total}"
-                    )
+                lines.extend(_histogram_lines(prom, metric))
             else:
                 samples = metric.samples()
                 if not samples:
@@ -524,29 +525,7 @@ class MetricsRegistry:
                 lines.append(f"# HELP {prom} {metric.help}")
             lines.append(f"# TYPE {prom} {metric.kind}")
             if isinstance(metric, Histogram):
-                for labels, state in metric.samples():
-                    cumulative = 0
-                    for bound, count in zip(metric.buckets, state.counts):
-                        cumulative += count
-                        le = dict(labels)
-                        le["le"] = _prom_number(bound)
-                        lines.append(
-                            f"{prom}_bucket{_prom_labels(_labelset(le))} "
-                            f"{cumulative}"
-                        )
-                    le = dict(labels)
-                    le["le"] = "+Inf"
-                    lines.append(
-                        f"{prom}_bucket{_prom_labels(_labelset(le))} "
-                        f"{state.total}"
-                    )
-                    lines.append(
-                        f"{prom}_sum{_prom_labels(labels)} "
-                        f"{_prom_number(state.sum)}"
-                    )
-                    lines.append(
-                        f"{prom}_count{_prom_labels(labels)} {state.total}"
-                    )
+                lines.extend(_histogram_lines(prom, metric))
             elif isinstance(metric, Counter):
                 samples = metric.samples()
                 if not samples:

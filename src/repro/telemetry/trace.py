@@ -98,9 +98,8 @@ class TraceEvent:
 def _event_order(event: TraceEvent) -> tuple:
     """Total order for events within a lane.
 
-    Events are recorded from one thread per lane in the common case, but
-    fault instants can land from any thread; sorting by the full content
-    keeps the export byte-identical regardless of interleaving.
+    Sorting by the full content keeps the export byte-identical however
+    the events were recorded; fault instants can land on any lane.
     """
     return (
         event.start_us,
@@ -296,8 +295,8 @@ class Tracer:
         """The chrome://tracing document as a plain dict.
 
         Lane ``tid`` assignment follows the registered sort keys — not
-        first-event order — so exports are identical however rank threads
-        interleaved.  ``thread_name`` metadata events label the lanes.
+        first-event order — so exports are identical whichever lane
+        recorded first.  ``thread_name`` metadata events label the lanes.
         """
         lanes = self._ordered_lanes()
         tid_of = {lane.name: i for i, lane in enumerate(lanes)}

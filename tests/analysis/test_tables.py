@@ -62,6 +62,29 @@ class TestTableIII:
         )
         assert q.value == pytest.approx(197e9, rel=0.03)
 
+    def test_renders_without_rank_threads(self, monkeypatch):
+        """The single-pair cells run real MPI jobs on one thread."""
+        import threading
+
+        from repro.runtime import mpi
+
+        jobs = []
+        run = mpi.SimMPI.run
+
+        def counting_run(self, fn):
+            jobs.append(self.size)
+            return run(self, fn)
+
+        def refuse(self):
+            raise AssertionError("a rank thread was started")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", refuse)
+            patch.setattr(mpi.SimMPI, "run", counting_run)
+            threadless = table_iii().render()
+        assert jobs and set(jobs) == {12, 8}  # Aurora and Dawn ranks
+        assert threadless == table_iii().render()
+
 
 class TestTableIV:
     def test_reference_peaks(self):

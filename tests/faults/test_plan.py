@@ -82,12 +82,6 @@ class TestScenarios:
         assert FaultKind.DEVICE_LOSS in kinds
         assert FaultKind.KERNEL_TRANSIENT in kinds
 
-    def test_hang_scenarios_shorten_watchdog(self):
-        node = get_system("aurora").node
-        assert build_plan("mpi-hang", 0, node).mpi_timeout_s == 2.0
-        assert build_plan("all", 0, node).mpi_timeout_s == 2.0
-        assert build_plan("throttle", 0, node).mpi_timeout_s is None
-
     def test_stream_vs_tick_split(self):
         node = get_system("aurora").node
         plan = build_plan("all", 0, node)

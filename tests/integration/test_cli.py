@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,15 @@ class TestFaultInjectionCli:
             for l in faulted.splitlines()[: len(clean_cells)]
         ]
         assert clean_cells != faulted_cells
+
+    def test_mpi_hang_is_diagnosed_not_waited_out(self, capsys):
+        # The hung rank is diagnosed the moment its peers block, and the
+        # stdout matches the recorded golden byte for byte.
+        golden = Path(__file__).parent / "data" / "table3_mpi_hang_seed0.txt"
+        start = time.monotonic()
+        assert main(["table3", "--inject", "mpi-hang", "--seed", "0"]) == 1
+        assert time.monotonic() - start < 1.0
+        assert capsys.readouterr().out == golden.read_text()
 
     def test_partition_fails_cells_exit_2(self, capsys):
         assert main(["table3", "--inject", "partition", "--seed", "0"]) == 2

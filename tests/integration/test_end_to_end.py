@@ -32,7 +32,7 @@ class TestDistributedCloverLeaf:
             left = (comm.rank - 1) % comm.size
             right = (comm.rank + 1) % comm.size
             for dt in serial_dts:
-                halo_l, halo_r = exchange_halos(comm, local, left, right)
+                halo_l, halo_r = yield from exchange_halos(comm, local, left, right)
                 padded = np.concatenate(
                     [halo_l[:, :, None], local, halo_r[:, :, None]], axis=2
                 )
@@ -54,7 +54,7 @@ class TestDistributedCloverLeaf:
                 f = _hll_flux(u_y[:, :-1, :], u_y[:, 1:, :])
                 local = local - (dt * (f[:, 1:, :] - f[:, :-1, :]))[[0, 2, 1, 3]]
                 # second x half step with fresh halos
-                halo_l, halo_r = exchange_halos(comm, local, left, right)
+                halo_l, halo_r = yield from exchange_halos(comm, local, left, right)
                 padded = np.concatenate(
                     [halo_l[:, :, None], local, halo_r[:, :, None]], axis=2
                 )

@@ -38,31 +38,40 @@ class TestErrorHierarchy:
 
 
 class TestMpiDeadlockDetection:
-    def test_recv_without_send_times_out(self, aurora, monkeypatch):
-        import repro.runtime.mpi as mpi_mod
+    """A deadlock is diagnosed the moment no rank can move: an immediate
+    MPIError naming each blocked rank's pending operation."""
 
-        monkeypatch.setattr(mpi_mod, "_TIMEOUT_S", 0.3)
+    @staticmethod
+    def _deadlock(mpi, prog) -> str:
+        import time
+
+        start = time.monotonic()
+        with pytest.raises(MPIError, match="^deadlock: ") as info:
+            mpi.run(prog)
+        assert time.monotonic() - start < 0.2
+        return str(info.value)
+
+    def test_recv_without_send_times_out(self, aurora):
+        from repro.runtime.mpi import SimMPI
 
         def prog(comm):
             if comm.rank == 1:
-                comm.Recv(source=0)  # rank 0 never sends
+                yield from comm.Recv(source=0)  # rank 0 never sends
             return None
 
-        with pytest.raises(MPIError, match="timed out"):
-            mpi_mod.SimMPI(aurora, 2).run(prog)
+        message = self._deadlock(SimMPI(aurora, 2), prog)
+        assert message.endswith("rank 1 blocked in Recv(source=0, tag=0)")
 
-    def test_mismatched_collective_times_out(self, aurora, monkeypatch):
-        import repro.runtime.mpi as mpi_mod
-
-        monkeypatch.setattr(mpi_mod, "_TIMEOUT_S", 0.3)
+    def test_mismatched_collective_times_out(self, aurora):
+        from repro.runtime.mpi import SimMPI
 
         def prog(comm):
             if comm.rank == 0:
-                comm.Barrier()  # rank 1 never enters
+                yield from comm.Barrier()  # rank 1 never enters
             return None
 
-        with pytest.raises(MPIError, match="timed out"):
-            mpi_mod.SimMPI(aurora, 2).run(prog)
+        message = self._deadlock(SimMPI(aurora, 2), prog)
+        assert message.endswith("rank 0 blocked in Barrier()")
 
 
 class TestAllocatorFailures:
