@@ -244,12 +244,13 @@ def _cmd_profile_service(args) -> int:
 def _cmd_profile_sweep(args) -> int:
     """``pvc-bench profile sweep`` — the design-space throughput gate.
 
-    Runs the ~138k-point ``ci`` sweep through the batch engine, samples
-    the scalar golden reference for bit-for-bit agreement and the
-    points-per-second speedup (best of three runs per path, see
-    :func:`~repro.sweep.runner.sweep_benchmark_entries`), and gates both
-    throughput figures
-    against ``BENCH_3.json``-style baselines.  Beyond the relative
+    Runs the ~138k-point ``ci`` sweep through the batch engine (which
+    verifies its scalar golden-reference sample bit for bit), times the
+    scalar path over that sample for the points-per-second speedup
+    (best of three runs per path, see
+    :func:`~repro.sweep.runner.sweep_benchmark_entries`; no plain
+    ``sweep`` times it), and gates both throughput figures against
+    ``BENCH_3.json``-style baselines.  Beyond the relative
     baseline gate there is a hard floor: the batch path must beat the
     scalar path by :data:`~repro.sweep.runner.SPEEDUP_FLOOR` (50x) or
     the profile fails outright — a slow batch path defeats the whole

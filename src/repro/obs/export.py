@@ -209,7 +209,7 @@ def export_sweep_chrome(rundir: str | os.PathLike) -> dict:
         spec=summary.get("spec", {}).get("name"),
         points=summary.get("points"),
         points_per_s=summary.get("points_per_s"),
-        batch_speedup=scalar.get("speedup"),
+        verified=scalar.get("verified"),
         verified_sample=scalar.get("sample"),
     )
     return tracer.to_chrome()

@@ -1,9 +1,11 @@
 """The sweep runner: artifacts, determinism, NDJSON schema, the gate
 entries, and agreement with an exhaustive scalar enumeration."""
 
+import dataclasses
 import filecmp
 import gc
 import json
+import math
 import os
 import signal
 import subprocess
@@ -13,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.cli import main
+from repro.errors import ConfigurationError, MeasurementError
+from repro.exitcodes import ExitCode
 from repro.hw.systems import get_system
 from repro.sim.engine import PerfEngine
 from repro.sim.noise import QUIET
@@ -22,7 +26,10 @@ from repro.sweep.runner import (
     SWEEP_SUMMARY_SCHEMA,
     _axis_column,
     _axis_values,
+    _axis_values_at,
+    _batch_engine,
     _chunk_batch,
+    _sample,
     run_sweep,
     render_summary,
     sweep_benchmark_entries,
@@ -62,9 +69,7 @@ class TestRunSweep:
         summary = outcome.summary
         assert summary["schema"] == SWEEP_SUMMARY_SCHEMA
         assert summary["points"] == SMOKE.n_points() == 72
-        assert summary["scalar"]["verified"] is True
-        assert summary["scalar"]["sample"] == 16
-        assert summary["scalar"]["speedup"] is not None
+        assert summary["scalar"] == {"sample": 16, "verified": True}
         assert summary["best"] == outcome.topk[0] == outcome.best
         assert (out / SWEEP_FILE).exists()
         assert (out / "topk.ndjson").exists()
@@ -147,8 +152,7 @@ class TestRunSweep:
     def test_verify_zero_skips_scalar_pass(self):
         outcome = run_sweep(SMOKE, verify=0)
         assert outcome.summary["scalar"] == {
-            "sample": 0, "points_per_s": None, "verified": False,
-            "speedup": None,
+            "sample": 0, "verified": False,
         }
 
     def test_config_validation(self):
@@ -163,8 +167,10 @@ class TestRunSweep:
         outcome = run_sweep(SMOKE, top_k=3, verify=8)
         text = render_summary(outcome.summary, outcome.topk)
         assert "72 points" in text.replace(",", "")
-        assert "bit-for-bit OK" in text
-        assert "batch speedup" in text
+        assert "# scalar reference: 8 sampled point(s), bit-for-bit OK" in (
+            text.splitlines()
+        )
+        assert "speedup" not in text
 
 
 #: A jobs=2 sweep whose pool worker SIGKILLs itself on chunk 1.  It runs
@@ -321,24 +327,102 @@ class TestBenchmarkEntries:
         import repro.sweep.runner as runner
 
         real = run_sweep(SMOKE, verify=16)
-        # (batch wall, scalar points/s) per run: the best batch run and
+        # Batch wall and scalar points/s per run: the best batch run and
         # the best scalar run are different runs.
-        runs = iter([(0.004, 1000.0), (0.002, 500.0), (0.003, 4000.0)])
+        walls = iter([0.004, 0.002, 0.003])
+        scalars = iter([1000.0, 500.0, 4000.0])
 
         def fake(spec, **kwargs):
-            wall, scalar = next(runs)
+            wall = next(walls)
             summary = {
                 **real.summary,
                 "eval_wall_s": wall,
                 "points_per_s": 72 / wall,
-                "scalar": {**real.summary["scalar"], "points_per_s": scalar},
             }
             return runner.SweepOutcome(summary=summary, topk=real.topk)
 
         monkeypatch.setattr(runner, "run_sweep", fake)
+        monkeypatch.setattr(
+            runner, "_scalar_points_per_s", lambda spec, sample: next(scalars)
+        )
         (entry,) = sweep_benchmark_entries("smoke", verify=16)
         assert runner.GATE_REPEATS == 3
         assert entry["wall_s"] == 0.002
         assert entry["points_per_s"] == 72 / 0.002
         assert entry["scalar_points_per_s"] == 4000.0
         assert entry["batch_speedup"] == (72 / 0.002) / 4000.0
+
+
+def one_ulp_off(monkeypatch, kernel_name: str) -> None:
+    """Make the scalar engine answer one ulp off for *kernel_name*."""
+    roofline = PerfEngine.roofline
+
+    def perturbed(self, spec, n_stacks=1):
+        point = roofline(self, spec, n_stacks)
+        if spec.name == kernel_name:
+            point = dataclasses.replace(
+                point, compute_s=math.nextafter(point.compute_s, math.inf)
+            )
+        return point
+
+    monkeypatch.setattr(PerfEngine, "roofline", perturbed)
+
+
+class TestScalarReference:
+    def test_index_gather_matches_the_chunk_expansion(self):
+        for sysname in SMOKE.systems:
+            points = SMOKE.system_points(sysname)
+            gathered = _axis_values_at(SMOKE, sysname, np.arange(points))
+            for i in range(points):
+                one = _axis_values(SMOKE, sysname, i, 1)
+                assert set(one) == set(gathered)
+                for axis, column in one.items():
+                    assert gathered[axis][i] == column[0], (i, axis)
+
+    def test_million_sample_matches_one_point_batches(self):
+        spec = get_sweep_spec("million")
+        total = spec.n_points()
+        bounds = []
+        start = 0
+        for sysname in spec.systems:
+            bounds.append((sysname, start, spec.system_points(sysname)))
+            start += bounds[-1][2]
+        want = []
+        for g in sorted({(i * total) // 64 for i in range(64)}):
+            sysname, start, _ = next(
+                b for b in bounds if b[1] <= g < b[1] + b[2]
+            )
+            local = g - start
+            batch, _ = _chunk_batch(spec, sysname, local, 1)
+            want.append((
+                sysname,
+                local,
+                batch.spec(0, name=f"million[{sysname}:{local}]"),
+                _batch_engine(sysname).evaluate(batch).point(0),
+            ))
+        got = [
+            (p.system, p.index, p.kernel, p.point) for p in _sample(spec, 64)
+        ]
+        assert len(got) == 64
+        assert got == want
+
+    def test_divergence_raises_naming_the_point(self, monkeypatch):
+        one_ulp_off(monkeypatch, "smoke[aurora:9]")
+        with pytest.raises(MeasurementError) as err:
+            run_sweep(SMOKE, verify=8)
+        assert str(err.value) == (
+            "batch/scalar divergence on 1 of 8 sampled point(s); "
+            "first: smoke[aurora:9] on aurora"
+        )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_divergence_fails_the_cli_sweep(self, monkeypatch, capsys, jobs):
+        one_ulp_off(monkeypatch, "smoke[aurora:9]")
+        rc = main(["sweep", "smoke", "--chunk", "16", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert rc == ExitCode.MEASUREMENT
+        assert "bit-for-bit OK" not in captured.out
+        assert captured.err.strip() == (
+            "pvc-bench: MeasurementError: batch/scalar divergence on 1 of "
+            "64 sampled point(s); first: smoke[aurora:9] on aurora"
+        )
