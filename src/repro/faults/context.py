@@ -42,7 +42,6 @@ class ExecutionContext:
         scenario: str | None = None,
         seed: int = 0,
         telemetry: "Telemetry | None" = None,
-        memo: MemoCache | None = None,
     ) -> None:
         if scenario is not None and scenario not in SCENARIO_NAMES:
             raise ScenarioError(
@@ -57,13 +56,8 @@ class ExecutionContext:
         self._injectors: dict[str, FaultInjector] = {}
         self._worst = CellStatus.OK
         # One model-evaluation memo cache per context, shared by every
-        # engine the context builds.  Context scope (not process scope)
-        # keeps a campaign unit's simcache.hit/miss counters a pure
-        # function of the unit, so serial and parallel campaign runs
-        # stay byte-identical.  The benchmark service passes its shared
-        # PersistentMemoCache here so evaluations survive across
-        # requests; campaign runs must NOT (see repro.sim.memostore).
-        self.memo = memo if memo is not None else MemoCache()
+        # engine the context builds (see repro.sim.memo).
+        self.memo = MemoCache()
 
     @property
     def active(self) -> bool:

@@ -10,7 +10,7 @@ campaign worker processes; the plans here attack the *service* layer
 * ``slow-loris`` — clients that dribble request bytes to pin handler
   threads: the per-socket timeout must disconnect them while normal
   traffic proceeds.
-* ``cache-corruption`` — sealed objects in the shared memo store are
+* ``cache-corruption`` — sealed objects in the request-result cache are
   deterministically mangled on disk: reads must quarantine and
   recompute, never crash or serve garbage.
 * ``service-kill`` — SIGKILL the daemon mid-flight after a drawn number

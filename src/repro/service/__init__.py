@@ -3,9 +3,10 @@
 ``pvc-bench serve-bench`` turns the reproduction into a long-running
 daemon: HTTP requests for tables, figures, reports and whole campaigns
 are admitted through per-tenant token buckets, journalled before they
-are queued, executed against a persistent shared memo store
-(:mod:`repro.sim.memostore`), and answered with cached, byte-identical
-results on retry — across process restarts and SIGKILLs.
+are queued, executed, and their results kept in a persistent
+request-result cache (:mod:`repro.sim.memostore`), so a retry or a
+repeated request is answered with cached, byte-identical bytes —
+across process restarts and SIGKILLs.
 
 Modules:
 

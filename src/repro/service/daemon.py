@@ -12,7 +12,7 @@ engineered for failure first:
 * **Durable intent** (:mod:`.state`): every admitted request is
   journalled before it is queued, its terminal record is written
   atomically before ``done`` is journalled, and results are cached in
-  the shared :class:`~repro.sim.memostore.MemoStore` by content
+  the request-result :class:`~repro.sim.memostore.MemoStore` by content
   digest — so a SIGKILL at *any* point either lost nothing or lost
   only work a retry reproduces byte-identically.
 * **Idempotency**: a replayed request id returns (or attaches to) the
@@ -35,7 +35,7 @@ every request end to end (:mod:`repro.obs.requests`):
   ``traceparent`` response header, threaded through admission, stamped
   onto the state directory's live events, and exported into campaign
   orchestrators/workers via :data:`~repro.obs.requests.TRACEPARENT_ENV`
-  so one trace id links the HTTP accept to the fork workers and memo
+  so one trace id links the HTTP accept to the fork workers and cache
   hits it caused;
 * ``requests.ndjson`` records one schema-validated span per terminal
   request with per-phase timings (parse, admission, queue, cache,
@@ -82,7 +82,6 @@ from ..obs.requests import (
     record_span_metrics,
     register_red_metrics,
 )
-from ..sim.memostore import PersistentMemoCache
 from ..telemetry.metrics import MetricsRegistry
 from .admission import AdmissionController
 from .httpd import GracefulHTTPServer
@@ -408,9 +407,6 @@ class BenchDaemon:
         self._tenant_slo: dict[str, SLOTracker] = {}
         self._tenant_slo_lock = threading.Lock()
         self.request_log = RequestLog(self.state.root)
-        #: Shared model-evaluation cache: every bench request's engines
-        #: read and write the same persistent store.
-        self.model_cache = PersistentMemoCache(self.state.cache)
         self.state.cache.on_quarantine = lambda key: self.events.live(
             "cache-quarantined", key=key
         )
@@ -720,9 +716,7 @@ class BenchDaemon:
 
     def _run_bench(self, body: dict) -> tuple[str, int, str]:
         try:
-            ctx = ExecutionContext(
-                body["scenario"], body["seed"], memo=self.model_cache
-            )
+            ctx = ExecutionContext(body["scenario"], body["seed"])
             text = _render_bench(body["command"], ctx)
             return "done", int(ctx.exit_code()), text
         except ReproError as exc:

@@ -52,7 +52,7 @@ def service_selfcheck() -> list[CheckResult]:
     Boots a real :class:`~repro.service.daemon.BenchDaemon` on an
     ephemeral port over a temp state directory and checks, in order:
     a cold request round-trips to ``done``; a second request with the
-    same content is served byte-identically from the memo store; a
+    same content is served byte-identically from the result cache; a
     corrupted cache object is quarantined and recomputed rather than
     crashing the request; and shutdown drains cleanly.  Returns one
     :class:`~repro.hw.selfcheck.CheckResult` per drill — the same

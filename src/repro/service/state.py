@@ -5,7 +5,7 @@ state directory::
 
     queue.jsonl            sealed request-lifecycle journal
     requests/<rid>.json    one terminal record per request id
-    cache/                 the shared MemoStore (results + model points)
+    cache/                 the MemoStore of request results
     campaigns/<digest>/    campaign run dirs (journal, store, tables)
     live.ndjson            service live events (repro.obs schema)
     requests.ndjson        request lifecycle spans (repro.obs.requests)

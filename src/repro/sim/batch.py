@@ -27,13 +27,6 @@ operands, the batch result is **bit-for-bit identical** to calling
 golden reference; ``tests/properties/test_prop_batch.py`` pins the
 equality over randomized grids and ablations.
 
-Whole chunks memoize as **single objects**: :meth:`KernelBatch.digest`
-hashes the raw array block (see :func:`repro.sim.memo.batch_digest`),
-so a million-point chunk occupies one cache entry instead of thrashing
-an LRU with a million tiny ones.  :data:`BATCH_CODEC` round-trips a
-:class:`BatchResult` through the on-disk
-:class:`~repro.sim.memostore.MemoStore` for cross-process reuse.
-
 Fault-injected engines are rejected: injector state (clock excursions,
 lost stacks) makes evaluation impure per point, which is exactly what
 the scalar path with its bypass counters is for.
@@ -41,7 +34,6 @@ the scalar path with its bypass counters is for.
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -51,14 +43,12 @@ from ..dtypes import ENGINE_MATRIX, Precision
 from ..errors import KernelSpecError
 from ..hw.frequency import WorkloadKind
 from .kernel import KernelSpec
-from .memo import batch_digest
 from .roofline import RooflinePoint
 
 __all__ = [
     "KernelBatch",
     "BatchResult",
     "BatchEngine",
-    "BATCH_CODEC",
     "BOUND_LABELS",
     "PRECISION_CODES",
     "KIND_CODES",
@@ -286,33 +276,6 @@ class KernelBatch:
             serial_chases=int(self.serial_chases[i]),
         )
 
-    def digest(self) -> str:
-        """Content digest over the raw array block (one hash for the
-        whole chunk — the memoization key component that lets sweep
-        chunks cache as single objects)."""
-        return batch_digest(
-            {
-                "flops": self.flops,
-                "bytes_read": self.bytes_read,
-                "bytes_written": self.bytes_written,
-                "working_set_bytes": self.working_set_bytes,
-                "serial_chases": self.serial_chases,
-                "precision_code": self.precision_code,
-                "kind_code": self.kind_code,
-                "n_stacks": self.n_stacks,
-            }
-        )
-
-
-#: BatchResult columns serialized by the memostore codec, in order.
-_RESULT_COLUMNS = (
-    ("compute_s", np.float64),
-    ("memory_s", np.float64),
-    ("latency_s", np.float64),
-    ("compute_rate", np.float64),
-    ("mem_bw", np.float64),
-)
-
 
 @dataclass(frozen=True)
 class BatchResult:
@@ -364,42 +327,6 @@ class BatchResult:
             compute_rate=float(self.compute_rate[i]),
             mem_bw=float(self.mem_bw[i]),
         )
-
-    def to_doc(self) -> dict:
-        """JSON-safe document (base64-packed little-endian doubles) for
-        the on-disk memo store."""
-        doc: dict = {"schema": "repro.sim.batchresult/v1", "n": len(self)}
-        for name, dtype in _RESULT_COLUMNS:
-            column = np.ascontiguousarray(
-                getattr(self, name), dtype=np.dtype(dtype).newbyteorder("<")
-            )
-            doc[name] = base64.b64encode(column.tobytes()).decode("ascii")
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "BatchResult":
-        if doc.get("schema") != "repro.sim.batchresult/v1":
-            raise ValueError(
-                f"not a batch-result document: {doc.get('schema')!r}"
-            )
-        n = int(doc["n"])
-        columns = {}
-        for name, dtype in _RESULT_COLUMNS:
-            raw = base64.b64decode(doc[name])
-            array = np.frombuffer(
-                raw, dtype=np.dtype(dtype).newbyteorder("<")
-            ).astype(dtype, copy=True)
-            if array.shape[0] != n:
-                raise ValueError(f"column {name} length mismatch")
-            columns[name] = array
-        return cls(**columns)
-
-
-#: ``(encode, decode)`` pair that round-trips a :class:`BatchResult`
-#: through :class:`~repro.sim.memostore.PersistentMemoCache`, so sweep
-#: chunks share one sealed store object per chunk across processes and
-#: daemon restarts.
-BATCH_CODEC = (BatchResult.to_doc, BatchResult.from_doc)
 
 
 class BatchEngine:
@@ -457,23 +384,8 @@ class BatchEngine:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(
-        self, batch: KernelBatch, *, memoize: bool = False
-    ) -> BatchResult:
-        """Roofline-decompose every point of *batch*.
-
-        With ``memoize=True`` the whole chunk is looked up in (and
-        written through) the engine's memo cache under a single
-        batch-digest key — the chunk-granular analogue of the scalar
-        path's per-point memoization.
-        """
-        key = None
-        if memoize:
-            key = ("batch", self.engine.identity_digest(), batch.digest())
-            cached = self.engine.memo.get(key)
-            if cached is not None:
-                self._note(len(batch), hit=True)
-                return cached
+    def evaluate(self, batch: KernelBatch) -> BatchResult:
+        """Roofline-decompose every point of *batch*."""
         n = len(batch)
         # Dense rate lookup: pack (precision, kind, n_stacks) into one
         # small integer, resolve each combination *present* once via the
@@ -531,15 +443,8 @@ class BatchEngine:
             compute_rate=compute_rate,
             mem_bw=mem_bw,
         )
-        if key is not None:
-            self.engine.memo.put(key, result)
-        self._note(n, hit=False)
-        return result
-
-    def _note(self, n_points: int, *, hit: bool) -> None:
         telemetry = self.engine.telemetry
         if telemetry is not None:
             telemetry.metrics.inc("batch.evals")
-            telemetry.metrics.inc("batch.points", float(n_points))
-            if hit:
-                telemetry.metrics.inc("batch.chunk_hits")
+            telemetry.metrics.inc("batch.points", float(n))
+        return result

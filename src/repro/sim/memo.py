@@ -25,16 +25,10 @@ Caches are scoped, not global — each
 :class:`~repro.faults.ExecutionContext` owns one — so a campaign unit's
 hit/miss counters (exported as ``simcache.hit`` / ``simcache.miss``
 through the metrics registry) are a pure function of the unit, which
-keeps serial and parallel campaign runs byte-identical.
-
-The benchmark service shares evaluations *across* requests and daemon
-restarts by swapping in
-:class:`~repro.sim.memostore.PersistentMemoCache`, which layers this
-in-memory tier over the on-disk content-addressed
-:class:`~repro.sim.memostore.MemoStore`.  Campaign runs deliberately
-keep the plain scoped cache: a persistent tier would make the
-journalled hit/miss counters depend on prior runs and break the
-byte-identity invariants.
+keeps serial and parallel campaign runs byte-identical.  Benchmark
+service requests get the same plain scoped cache; what the service
+persists is whole request results
+(:class:`~repro.sim.memostore.MemoStore`), not model points.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ from ..ioutils import canonical_json, sha256_text
 
 __all__ = [
     "MemoCache",
-    "batch_digest",
     "content_digest",
     "kernel_signature",
 ]
@@ -84,30 +77,6 @@ def _canon(obj: object) -> object:
 def content_digest(obj: object) -> str:
     """Hex SHA-256 of *obj*'s canonical form (the content address)."""
     return sha256_text(canonical_json(_canon(obj)))
-
-
-def batch_digest(arrays: Mapping[str, object]) -> str:
-    """Hex SHA-256 over a *block* of named arrays, not per element.
-
-    The batch-evaluation path (:mod:`repro.sim.batch`) memoizes whole
-    sweep chunks as single cache objects; keying per point would thrash
-    the LRU with millions of tiny entries.  The digest covers each
-    column's name, dtype, shape and raw little-endian bytes, so any
-    drift in any point — or in the column layout — misses cleanly.
-    """
-    import hashlib
-
-    import numpy as np
-
-    h = hashlib.sha256()
-    for name in sorted(arrays):
-        column = np.ascontiguousarray(arrays[name])
-        column = column.astype(column.dtype.newbyteorder("<"), copy=False)
-        h.update(name.encode())
-        h.update(str(column.dtype).encode())
-        h.update(str(column.shape).encode())
-        h.update(column.tobytes())
-    return h.hexdigest()
 
 
 @lru_cache(maxsize=DEFAULT_MAX_ENTRIES)

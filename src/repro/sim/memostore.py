@@ -1,12 +1,13 @@
-"""The persistent, shared, on-disk content-addressed memo store.
+"""The persistent on-disk content-addressed store of request results.
 
-:class:`~repro.sim.memo.MemoCache` is context-scoped: it dies with the
-run that built it.  The benchmark service (:mod:`repro.service`) needs
-the opposite — the paper campaign's 95.4% hit rate only makes repeated
-user queries near-free if the cache *survives* across requests and
-across daemon restarts.  :class:`MemoStore` is that shared tier: a
-directory of content-addressed JSON objects engineered for failure
-first.
+The benchmark service (:mod:`repro.service`) answers a repeated request
+from its cached result, and that cache must *survive* daemon restarts
+and SIGKILLs.  :class:`MemoStore` is that cache: a directory of
+content-addressed JSON objects, keyed by request digest and engineered
+for failure first.  Model evaluations are not stored here — each run
+recomputes them through its own context-scoped
+:class:`~repro.sim.memo.MemoCache`, which costs less than a sealed,
+fsync'd write.
 
 Layout (under one root directory)::
 
@@ -65,9 +66,8 @@ from ..ioutils import (
     record_intact,
     seal_record,
 )
-from .memo import MemoCache, content_digest
 
-__all__ = ["MemoStore", "PersistentMemoCache", "read_index"]
+__all__ = ["MemoStore", "read_index"]
 
 #: Default entry bound, matching the in-memory cache's cap.
 DEFAULT_MAX_ENTRIES = 4096
@@ -326,55 +326,3 @@ class MemoStore:
             "quarantined": self.quarantined,
         }
 
-
-class PersistentMemoCache(MemoCache):
-    """A :class:`MemoCache` write-through layered over a :class:`MemoStore`.
-
-    The in-memory tier keeps the hot working set at dict speed; every
-    miss consults the shared store (decoding through *decode*), and
-    every computed value is written through (encoding through
-    *encode*), so a second process — or the same daemon after a
-    restart — starts warm.  Keys may be arbitrary hashables: they are
-    content-addressed into the store via
-    :func:`~repro.sim.memo.content_digest`.
-
-    The default codec round-trips :class:`~repro.sim.roofline.RooflinePoint`
-    (the engine's memoized value type); pass *encode*/*decode* for
-    other payloads.
-    """
-
-    __slots__ = ("store", "_encode", "_decode")
-
-    def __init__(
-        self,
-        store: MemoStore,
-        max_entries: int | None = None,
-        encode=None,
-        decode=None,
-    ) -> None:
-        super().__init__(max_entries or store.max_entries)
-        self.store = store
-        if encode is None or decode is None:
-            from .roofline import RooflinePoint
-            import dataclasses
-
-            encode = encode or dataclasses.asdict
-            decode = decode or (lambda doc: RooflinePoint(**doc))
-        self._encode = encode
-        self._decode = decode
-
-    def get(self, key):
-        value = super().get(key)
-        if value is not None:
-            return value
-        stored = self.store.get(content_digest(key))
-        if stored is None:
-            return None
-        value = self._decode(stored)
-        # Promote into the hot tier without re-writing the store.
-        super().put(key, value)
-        return value
-
-    def put(self, key, value) -> None:
-        super().put(key, value)
-        self.store.put(content_digest(key), self._encode(value))

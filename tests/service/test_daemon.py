@@ -7,6 +7,9 @@ with byte-identical results.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
@@ -17,7 +20,13 @@ from repro.service.admission import AdmissionController
 from repro.service.daemon import BenchDaemon
 from repro.service.state import ServiceState
 
-from .conftest import DaemonProc, get_json, post_request, wait_for_done
+from .conftest import (
+    REPO_SRC,
+    DaemonProc,
+    get_json,
+    post_request,
+    wait_for_done,
+)
 
 
 class TestRoutes:
@@ -313,12 +322,88 @@ class TestCampaignRequests:
         assert again["text"] == doc["text"]
 
 
+def _cli_stdout(*args: str) -> tuple[str, int]:
+    """``pvc-bench ARGS`` as a fresh process: ``(stdout, exit code)``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.stdout, proc.returncode
+
+
+class TestModelEvaluatingRequests:
+    """``table2`` evaluates model points; the service caches only its result."""
+
+    def test_cache_counts_request_results_only(self, daemon):
+        _, cold, _ = post_request(
+            daemon.url, {"request_id": "cold", "command": "table2"}
+        )
+        _, warm, _ = post_request(
+            daemon.url, {"request_id": "warm", "command": "table2"}
+        )
+        assert (cold["cached"], warm["cached"]) == (False, True)
+        stats = daemon.state.cache.stats()
+        assert stats["entries"] == 1
+        assert stats["hits"] == 1
+        assert stats["misses"] == 1
+        assert stats["hit_rate"] == 0.5
+        with urllib.request.urlopen(daemon.url + "/metrics", timeout=10) as resp:
+            lines = resp.read().decode().splitlines()
+        assert "service_cache_entries 1" in lines
+
+    @pytest.mark.parametrize(
+        "flags", [(), ("--inject", "throttle", "--seed", "3")],
+        ids=["clean", "throttle-seed3"],
+    )
+    def test_table2_equals_cli_stdout(self, tmp_path, flags):
+        stdout, exit_code = _cli_stdout("table2", *flags)
+        body = {"command": "table2"}
+        if flags:
+            body.update(scenario=flags[1], seed=int(flags[3]))
+
+        def ask(daemon: BenchDaemon, rid: str) -> dict:
+            status, doc, _ = post_request(
+                daemon.url, dict(body, request_id=rid)
+            )
+            assert status == 200 and doc["status"] == "done", doc
+            # The CLI prints the rendered text with one trailing newline.
+            assert doc["text"] + "\n" == stdout
+            assert doc["exit"] == exit_code
+            return doc
+
+        first = BenchDaemon(tmp_path / "state", workers=1)
+        first.start()
+        try:
+            cold = ask(first, "cold")
+            assert ask(first, "cached")["cached"] is True
+        finally:
+            first.stop(timeout_s=10.0)
+        assert cold["cached"] is False
+        with open(first.state.cache.object_path(cold["digest"]), "w") as fh:
+            fh.write('{"key": "not even close"')
+
+        revived = BenchDaemon(tmp_path / "state", workers=1)
+        revived.start()
+        try:
+            assert ask(revived, "recomputed")["cached"] is False
+            assert revived.state.cache.stats()["quarantined"] == 1
+        finally:
+            revived.stop(timeout_s=10.0)
+
+
 @pytest.mark.slow
 class TestKillDrill:
     """SIGKILL the daemon mid-flight; restart; nothing lost, bytes equal."""
 
     def test_sigkill_restart_idempotent_byte_identical(self, tmp_path):
-        commands = ["table1", "table4", "table5", "fig1", "fig2", "fig3"]
+        commands = [
+            "table1", "table2", "table4", "table5", "fig1", "fig2", "fig3",
+        ]
         # Reference answers from an undisturbed daemon.
         reference = {}
         ref = DaemonProc(tmp_path / "ref")
