@@ -13,8 +13,10 @@ evaluates whole design spaces in a handful of NumPy array ops:
 * achieved-rate ceilings are resolved **once per distinct**
   ``(precision, kind, n_stacks)`` combination — by calling the scalar
   engine's own ``fma_rate``/``gemm_rate``/``stream_bw`` methods, so the
-  ceilings are the *same floats* the scalar path uses — and scattered
-  to the points through boolean masks;
+  ceilings are the *same floats* the scalar path uses — and gathered
+  to the points; a batch at one stack count (a zero-stride
+  ``n_stacks`` column, :meth:`KernelBatch.at_stacks`) resolves its
+  bandwidth once and broadcasts it;
 * one vectorized pass per bound (compute ceiling with the TDP
   downclock folded into the rates, memory bandwidth, serialized chase
   latency), then a vectorized ``max``/compare over the bounds yields
@@ -34,7 +36,7 @@ the scalar path with its bypass counters is for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -100,7 +102,9 @@ class KernelBatch:
     The columns mirror :class:`~repro.sim.kernel.KernelSpec` field for
     field; ``precision_code``/``kind_code`` carry the enum codes from
     :data:`PRECISION_CODES`/:data:`KIND_CODES` and ``n_stacks`` the
-    evaluation scope per point.  Length-1 columns broadcast.
+    evaluation scope per point.  Length-1 columns broadcast.  The
+    columns are validated once, on construction: slices and
+    :meth:`at_stacks` views of a valid batch are valid.
     """
 
     flops: np.ndarray
@@ -111,6 +115,7 @@ class KernelBatch:
     precision_code: np.ndarray
     kind_code: np.ndarray
     n_stacks: np.ndarray
+    total_bytes: np.ndarray = field(init=False, repr=False, compare=False)
 
     @classmethod
     def from_arrays(
@@ -222,9 +227,12 @@ class KernelBatch:
             raise KernelSpecError("batch point with negative work")
         if bool(np.any(self.serial_chases < 0)):
             raise KernelSpecError("batch point with negative chase count")
+        object.__setattr__(
+            self, "total_bytes", self.bytes_read + self.bytes_written
+        )
         empty = (
             (self.flops == 0)
-            & (self.bytes_read + self.bytes_written == 0)
+            & (self.total_bytes == 0)
             & (self.serial_chases == 0)
         )
         if bool(np.any(empty)):
@@ -243,20 +251,25 @@ class KernelBatch:
     def __getitem__(self, index: slice) -> "KernelBatch":
         if not isinstance(index, slice):
             raise TypeError("KernelBatch indexing takes slices (chunking)")
-        return KernelBatch(
-            flops=self.flops[index],
-            bytes_read=self.bytes_read[index],
-            bytes_written=self.bytes_written[index],
-            working_set_bytes=self.working_set_bytes[index],
-            serial_chases=self.serial_chases[index],
-            precision_code=self.precision_code[index],
-            kind_code=self.kind_code[index],
-            n_stacks=self.n_stacks[index],
+        return self._view(
+            {name: column[index] for name, column in vars(self).items()}
         )
 
-    @property
-    def total_bytes(self) -> np.ndarray:
-        return self.bytes_read + self.bytes_written
+    def at_stacks(self, n_stacks: int) -> "KernelBatch":
+        """This batch with every point at one stack scope.
+
+        The ``n_stacks`` column becomes a zero-stride broadcast, which
+        :meth:`BatchEngine.evaluate` resolves once for the whole batch.
+        """
+        stacks = np.broadcast_to(np.int16(n_stacks), (len(self),))
+        return self._view({**vars(self), "n_stacks": stacks})
+
+    @staticmethod
+    def _view(columns: dict) -> "KernelBatch":
+        # Views of a validated batch skip __post_init__'s O(n) checks.
+        view = object.__new__(KernelBatch)
+        vars(view).update(columns)
+        return view
 
     def spec(self, i: int, name: str | None = None) -> KernelSpec:
         """Reconstruct point *i* as a scalar :class:`KernelSpec`.
@@ -298,14 +311,18 @@ class BatchResult:
 
     @property
     def total_s(self) -> np.ndarray:
-        return np.maximum(self.compute_s, self.memory_s) + self.latency_s
+        total = np.maximum(self.compute_s, self.memory_s)
+        total += self.latency_s
+        return total
 
     @property
     def bound_code(self) -> np.ndarray:
         """0 = latency, 1 = memory, 2 = compute (:data:`BOUND_LABELS`)."""
-        overlap = np.maximum(self.compute_s, self.memory_s)
-        code = np.where(self.compute_s >= self.memory_s, 2, 1).astype(np.int8)
-        return np.where(self.latency_s > overlap, np.int8(0), code)
+        code = np.where(
+            self.compute_s >= self.memory_s, np.int8(2), np.int8(1)
+        )
+        code[self.latency_s > np.maximum(self.compute_s, self.memory_s)] = 0
+        return code
 
     def bounds(self) -> np.ndarray:
         """Bound labels per point (object array of str)."""
@@ -385,14 +402,22 @@ class BatchEngine:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, batch: KernelBatch) -> BatchResult:
-        """Roofline-decompose every point of *batch*."""
+        """Roofline-decompose every point of *batch*.
+
+        A zero-stride ``n_stacks`` column (:meth:`KernelBatch.at_stacks`)
+        enters the arithmetic below as its one value, which broadcasts:
+        the bandwidth is resolved once, and only the rate is gathered.
+        """
         n = len(batch)
+        stacks = batch.n_stacks
+        if not stacks.strides[0]:
+            stacks = stacks[:1]
+        stacks = stacks.astype(np.int64)
         # Dense rate lookup: pack (precision, kind, n_stacks) into one
         # small integer, resolve each combination *present* once via the
-        # scalar engine, then gather.  O(n) bincount + two gathers beats
-        # a sort-based unique by an order of magnitude at 10^6 points.
+        # scalar engine, then gather.  O(n) bincount + a gather beats a
+        # sort-based unique by an order of magnitude at 10^6 points.
         max_stacks = self.engine.node.n_stacks
-        stacks = batch.n_stacks.astype(np.int64)
         lo, hi = int(stacks.min()), int(stacks.max())
         if lo < 1 or hi > max_stacks:
             # Same contract as the scalar path's _check_stacks.
@@ -401,34 +426,32 @@ class BatchEngine:
                 f"{self.engine.system.name} has 1..{max_stacks} stacks, "
                 f"got {bad}"
             )
-        stride = len(KIND_CODES) * (max_stacks + 1)
-        flat = (
-            (batch.precision_code.astype(np.int64) + 1) * stride
-            + batch.kind_code.astype(np.int64) * (max_stacks + 1)
-            + stacks
-        )
-        table_size = len(PRECISION_CODES) * stride
+        flat = batch.precision_code.astype(np.int64)
+        flat += 1
+        flat *= len(KIND_CODES)
+        flat += batch.kind_code
+        flat *= max_stacks + 1
+        flat += stacks
+        table_size = len(PRECISION_CODES) * len(KIND_CODES) * (max_stacks + 1)
         present = np.nonzero(np.bincount(flat, minlength=table_size))[0]
         rate_lut = np.zeros(table_size, dtype=np.float64)
-        bw_lut = np.zeros(table_size, dtype=np.float64)
-        for code in present:
-            code = int(code)
-            pcode = code // stride - 1
-            rem = code % stride
-            rate_lut[code] = self._compute_rate(
-                pcode, rem // (max_stacks + 1), rem % (max_stacks + 1)
-            )
-            bw_lut[code] = self._stream_bw(rem % (max_stacks + 1))
+        bw_lut = np.zeros(max_stacks + 1, dtype=np.float64)
+        for code in present.tolist():
+            combo, scope = divmod(code, max_stacks + 1)
+            pcode, kcode = divmod(combo, len(KIND_CODES))
+            rate_lut[code] = self._compute_rate(pcode - 1, kcode, scope)
+            bw_lut[scope] = self._stream_bw(scope)
         compute_rate = rate_lut[flat]
-        mem_bw = bw_lut[flat]
+        mem_bw = bw_lut[stacks]
         # One pass per bound.  0/rate == 0.0 exactly, which is what the
         # scalar path's ``if spec.flops`` short-circuit produces, so no
         # masking is needed for work-free points.
         compute_s = batch.flops / compute_rate
         memory_s = batch.total_bytes / mem_bw
-        latency_s = np.zeros(n, dtype=np.float64)
+        latency_s = np.broadcast_to(0.0, (n,))
         chasing = np.flatnonzero(batch.serial_chases > 0)
         if chasing.size:
+            latency_s = np.zeros(n, dtype=np.float64)
             ws = batch.working_set_bytes[chasing]
             chase = np.empty(chasing.size, dtype=np.float64)
             for value in np.unique(ws):
@@ -441,7 +464,7 @@ class BatchEngine:
             memory_s=memory_s,
             latency_s=latency_s,
             compute_rate=compute_rate,
-            mem_bw=mem_bw,
+            mem_bw=np.broadcast_to(mem_bw, (n,)),
         )
         telemetry = self.engine.telemetry
         if telemetry is not None:

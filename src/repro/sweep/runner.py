@@ -1,15 +1,17 @@
 """Chunked execution of sweep specs over the batch engine.
 
-The runner never materializes a design space: a chunk of global indices
-is decomposed into per-axis value arrays with ``divmod`` array ops
-(last axis fastest, mirroring the spec's declared order), the workload
-family turns the values into :class:`~repro.sim.batch.KernelBatch`
-columns, and one :meth:`~repro.sim.batch.BatchEngine.evaluate` call
-rooflines the whole chunk.  Chunks shard across a fork process pool
-(``--jobs``) and merge in chunk order, so the artifacts are
-byte-identical to a serial run; if a worker dies, the chunks the pool
-had not returned are evaluated in-process instead, with the same
-result.
+The runner evaluates kernels, not points.  No kernel column depends on
+the system or the stack count, so each spec's K kernels, the
+(precision, *axes) sub-grid, are built and validated once per process
+(fork workers included).  A system's grid is row-major over
+(n_stacks, precision, *axes): global index ``scope * K + j`` is kernel
+``j`` at the ``scope``-th stack count.  A chunk of indices is one
+segment per stack scope it crosses, each a kernel-grid slice that one
+:meth:`~repro.sim.batch.BatchEngine.evaluate` call rooflines at one
+stack count.  Chunks shard across a fork process pool (``--jobs``) and
+merge in chunk order, so the artifacts are byte-identical to a serial
+run; if a worker dies, the chunks the pool had not returned are
+evaluated in-process instead, with the same result.
 
 Artifacts (all through the atomic io helpers):
 
@@ -33,12 +35,14 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -68,9 +72,9 @@ SWEEP_SUMMARY_SCHEMA = "repro.sweep.summary/v1"
 #: auto-detects it the way ``requests.ndjson`` marks a service dir).
 SWEEP_FILE = "sweep.json"
 
-#: Default points per chunk: ~17 MB of column data, small enough to
-#: stay cache-friendly, large enough to amortize the per-chunk rate
-#: resolution.
+#: Default points per chunk: the unit of pool dispatch, top-K selection
+#: and ``sweep.json`` accounting.  A chunk's result arrays (``fom``,
+#: ``total_s``, the bound code and the top-K key) take ~6.6 MB.
 DEFAULT_CHUNK_POINTS = 262_144
 
 #: Default scalar-verification sample size.
@@ -102,71 +106,20 @@ _LABEL_BY_CODE[-1] = NO_PRECISION
 # ---------------------------------------------------------------------------
 
 
-def _axis_column(
-    values: np.ndarray, stride: int, offset: int, count: int
-) -> np.ndarray:
-    """``values[(offset + i) // stride % len(values)]`` for i < count.
-
-    Built from repeats and tiles rather than per-point ``divmod``: an
-    axis whose whole period (stride x size) fits in the chunk tiles one
-    rotated period; a slower axis changes value at most ``size + 1``
-    times inside the chunk, so it is a repeat of those few runs.
-    """
-    size = values.shape[0]
-    period = stride * size
-    if period <= count:
-        cycle = np.roll(np.repeat(values, stride), -(offset % period))
-        return np.tile(cycle, -(-count // period))[:count]
-    first = offset // stride
-    last = (offset + count - 1) // stride
-    runs = np.full(last - first + 1, stride, dtype=np.int64)
-    runs[0] -= offset - first * stride
-    runs[-1] -= (last + 1) * stride - (offset + count)
-    return np.repeat(values[np.arange(first, last + 1) % size], runs)
-
-
-def _axes(spec: SweepSpec, sysname: str) -> list[tuple[str, np.ndarray]]:
-    """The grid's axes in row-major order: (n_stacks, precision, *axes)."""
-    axes = [
-        ("n_stacks", np.asarray(spec.stack_values(sysname), dtype=np.int64)),
-        ("precision_code", np.asarray(spec.precision_codes(), dtype=np.int64)),
-    ]
-    axes.extend(
-        (name, np.asarray(values, dtype=np.int64))
-        for name, values in spec.axes
-    )
-    return axes
-
-
-def _axis_values(
-    spec: SweepSpec, sysname: str, offset: int, count: int
-) -> dict[str, np.ndarray]:
-    """Per-axis value arrays for global indices [offset, offset+count).
-
-    The grid is row-major over (n_stacks, precision, *axes) with the
-    last axis varying fastest — pure array arithmetic, no Python loop
-    over points.
-    """
-    out: dict[str, np.ndarray] = {}
-    stride = 1
-    for name, values in reversed(_axes(spec, sysname)):
-        out[name] = _axis_column(values, stride, offset, count)
-        stride *= values.shape[0]
-    return out
-
-
 def _axis_values_at(
-    spec: SweepSpec, sysname: str, index: np.ndarray
+    spec: SweepSpec, sysname: str | None, index: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Per-axis value arrays at arbitrary local *index* positions.
-
-    The plain per-axis divmod ``values[(index // stride) % size]`` that
-    :func:`_axis_column` is the run-length form of; the scalar sample
-    gathers its scattered points with it.
-    """
+    """Per-axis values ``values[index // stride % size]`` at *index*
+    positions of one system's row-major (n_stacks, precision, *axes)
+    grid, last axis fastest; of the kernel grid (precision, *axes) when
+    *sysname* is ``None``."""
+    axes = [("precision_code", spec.precision_codes()), *spec.axes]
+    if sysname is not None:
+        axes.insert(0, ("n_stacks", spec.stack_values(sysname)))
     out: dict[str, np.ndarray] = {}
     stride = 1
-    for name, values in reversed(_axes(spec, sysname)):
+    for name, values in reversed(axes):
+        values = np.asarray(values, dtype=np.int64)
         out[name] = values[index // stride % values.shape[0]]
         stride *= values.shape[0]
     return out
@@ -270,35 +223,34 @@ _WORKLOADS = {
 }
 
 
-def _chunk_batch(
-    spec: SweepSpec, sysname: str, offset: int, count: int
-) -> tuple[KernelBatch, dict[str, np.ndarray]]:
-    """The KernelBatch for one chunk, plus the axis value arrays."""
-    values = _axis_values(spec, sysname, offset, count)
-    return _kernel_batch(spec, values), values
-
-
 def _kernel_batch(
     spec: SweepSpec, values: dict[str, np.ndarray]
 ) -> KernelBatch:
-    """The workload family's KernelBatch over axis value arrays."""
-    count = values["n_stacks"].shape[0]
+    """The workload family's KernelBatch over axis value arrays (without
+    an ``n_stacks`` column, every point is at one stack)."""
+    count = values["precision_code"].shape[0]
     cols = _WORKLOADS[spec.workload](values)
     kind = cols.pop("kind")
     return KernelBatch(
-        flops=np.ascontiguousarray(cols["flops"], dtype=np.float64),
-        bytes_read=np.ascontiguousarray(cols["bytes_read"], dtype=np.float64),
-        bytes_written=np.ascontiguousarray(
-            cols["bytes_written"], dtype=np.float64
-        ),
-        working_set_bytes=np.ascontiguousarray(
-            cols["working_set_bytes"], dtype=np.int64
-        ),
+        flops=np.asarray(cols["flops"], dtype=np.float64),
+        bytes_read=np.asarray(cols["bytes_read"], dtype=np.float64),
+        bytes_written=np.asarray(cols["bytes_written"], dtype=np.float64),
+        working_set_bytes=np.asarray(cols["working_set_bytes"], np.int64),
         serial_chases=np.zeros(count, dtype=np.int64),
         precision_code=values["precision_code"].astype(np.int8),
         kind_code=np.full(count, KIND_CODES[kind], dtype=np.int8),
-        n_stacks=values["n_stacks"].astype(np.int16),
+        n_stacks=values.get("n_stacks", np.ones(count)).astype(np.int16),
     )
+
+
+@lru_cache(maxsize=8)
+def _kernel_grid(spec: SweepSpec) -> tuple[dict, KernelBatch]:
+    """The axis values and KernelBatch of *spec*'s kernel grid, built
+    and validated once per process: every stack scope of every system
+    evaluates slices of this one batch."""
+    size = len(spec.precisions) * math.prod(len(v) for _, v in spec.axes)
+    values = _axis_values_at(spec, None, np.arange(size))
+    return values, _kernel_batch(spec, values)
 
 
 # ---------------------------------------------------------------------------
@@ -319,37 +271,91 @@ def _batch_engine(sysname: str):
     return engine
 
 
+def _segments(
+    spec: SweepSpec, sysname: str, offset: int, count: int
+) -> Iterator[tuple[slice, slice, int]]:
+    """(chunk positions, kernel-grid positions, n_stacks) of each stack
+    scope that the chunk [offset, offset+count) crosses."""
+    size = len(_kernel_grid(spec)[1])
+    stacks = spec.stack_values(sysname)
+    start, end = offset, offset + count
+    while start < end:
+        scope, first = divmod(start, size)
+        stop = min(end, start - first + size)
+        yield (
+            slice(start - offset, stop - offset),
+            slice(first, first + stop - start),
+            stacks[scope],
+        )
+        start = stop
+
+
+#: Dtypes of a chunk's ``fom``, ``total_s``, ``bound_code`` and top-K key.
+_CHUNK_DTYPES = (np.float64, np.float64, np.int8, np.float64)
+
+#: Per-process chunk buffers, reused by every chunk a process evaluates
+#: (one at a time).  Fresh arrays would be first-touched page by page in
+#: every chunk, and freeing them trims the heap the next chunk regrows.
+_BUFFERS: list[np.ndarray] = []
+
+
+def _chunk_buffers(count: int) -> list[np.ndarray]:
+    if not _BUFFERS or _BUFFERS[0].shape[0] < count:
+        _BUFFERS[:] = [np.empty(count, dtype) for dtype in _CHUNK_DTYPES]
+    return [buffer[:count] for buffer in _BUFFERS]
+
+
+def _chunk_arrays(
+    spec: SweepSpec, sysname: str, offset: int, out: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Write the ``fom``, ``total_s`` and ``bound_code`` of the chunk at
+    *offset* into *out*, one batch evaluation per segment."""
+    batch = _kernel_grid(spec)[1]
+    engine = _batch_engine(sysname)
+    fom, total_s, bound_code = out
+    fom.fill(0.0)
+    for at, kernels, n_stacks in _segments(
+        spec, sysname, offset, fom.shape[0]
+    ):
+        part = batch[kernels].at_stacks(n_stacks)
+        result = engine.evaluate(part)
+        total_s[at] = result.total_s
+        bound_code[at] = result.bound_code
+        np.divide(part.flops, total_s[at], out=fom[at], where=total_s[at] > 0)
+    return out
+
+
 def _ndjson_lines(
-    spec: SweepSpec,
-    sysname: str,
-    offset: int,
-    values: dict[str, np.ndarray],
-    fom: np.ndarray,
-    total_s: np.ndarray,
-    bound_code: np.ndarray,
+    spec: SweepSpec, sysname: str, offset: int,
+    fom: np.ndarray, total_s: np.ndarray, bound_code: np.ndarray,
 ) -> str:
-    """One JSON object per evaluated point, in index order."""
+    """One JSON object per evaluated point of the chunk at *offset*, in
+    index order (axis values from the kernel grid's slices)."""
+    values = _kernel_grid(spec)[0]
     axis_names = [name for name, _ in spec.axes]
-    axis_cols = [values[name].tolist() for name in axis_names]
-    stacks = values["n_stacks"].tolist()
-    pcodes = values["precision_code"].tolist()
-    foms = fom.tolist()
-    totals = total_s.tolist()
-    bounds = bound_code.tolist()
     lines = []
-    for i in range(len(foms)):
-        params = ", ".join(
-            f'"{name}": {col[i]}'
-            for name, col in zip(axis_names, axis_cols)
-        )
-        lines.append(
-            f'{{"v": 1, "spec": "{spec.name}", "system": "{sysname}", '
-            f'"index": {offset + i}, "n_stacks": {stacks[i]}, '
-            f'"precision": "{_LABEL_BY_CODE[pcodes[i]]}", '
-            f"\"params\": {{{params}}}, "
-            f'"gflops": {foms[i] / 1e9!r}, "total_s": {totals[i]!r}, '
-            f'"bound": "{BOUND_LABELS[bounds[i]]}"}}'
-        )
+    for at, kernels, n_stacks in _segments(
+        spec, sysname, offset, fom.shape[0]
+    ):
+        axis_cols = [values[name][kernels].tolist() for name in axis_names]
+        pcodes = values["precision_code"][kernels].tolist()
+        foms = fom[at].tolist()
+        totals = total_s[at].tolist()
+        bounds = bound_code[at].tolist()
+        for i in range(len(foms)):
+            params = ", ".join(
+                f'"{name}": {col[i]}'
+                for name, col in zip(axis_names, axis_cols)
+            )
+            lines.append(
+                f'{{"v": 1, "spec": "{spec.name}", "system": "{sysname}", '
+                f'"index": {offset + at.start + i}, '
+                f'"n_stacks": {n_stacks}, '
+                f'"precision": "{_LABEL_BY_CODE[pcodes[i]]}", '
+                f"\"params\": {{{params}}}, "
+                f'"gflops": {foms[i] / 1e9!r}, "total_s": {totals[i]!r}, '
+                f'"bound": "{BOUND_LABELS[bounds[i]]}"}}'
+            )
     return "\n".join(lines)
 
 
@@ -357,24 +363,18 @@ def _chunk_worker(task: tuple) -> dict:
     """Evaluate one chunk; runs in the parent or in a fork worker."""
     spec_doc, sysname, chunk_index, offset, count, top_k, want_ndjson = task
     spec = SweepSpec.from_doc(spec_doc)
-    engine = _batch_engine(sysname)
     t0 = time.perf_counter()
-    batch, values = _chunk_batch(spec, sysname, offset, count)
-    result = engine.evaluate(batch)
-    # One shared total_s pass (flops_per_s/bound_code would each
-    # recompute the property on a million-point chunk).
-    total_s = result.total_s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fom = np.where(total_s > 0, batch.flops / total_s, 0.0)
-    bound_code = result.bound_code
+    *out, key = _chunk_buffers(count)
+    fom, total_s, bound_code = _chunk_arrays(spec, sysname, offset, out)
     wall_s = time.perf_counter() - t0
+    np.negative(fom, out=key)
     k = min(top_k, count)
     if k < count:
-        cand = np.argpartition(-fom, k - 1)[:k]
+        cand = np.argpartition(key, k - 1)[:k]
     else:
         cand = np.arange(count)
     # Deterministic order: fom descending, then local index ascending.
-    cand = cand[np.lexsort((cand, -fom[cand]))]
+    cand = cand[np.lexsort((cand, key[cand]))]
     return {
         "chunk": chunk_index,
         "system": sysname,
@@ -386,9 +386,7 @@ def _chunk_worker(task: tuple) -> dict:
         "top_total_s": total_s[cand].tolist(),
         "top_bound": bound_code[cand].tolist(),
         "ndjson": (
-            _ndjson_lines(
-                spec, sysname, offset, values, fom, total_s, bound_code
-            )
+            _ndjson_lines(spec, sysname, offset, fom, total_s, bound_code)
             if want_ndjson
             else None
         ),
@@ -443,21 +441,19 @@ def _point_row(
 ) -> dict:
     """A full result row for one global index (axis values recomputed
     from the index — only the K winners ever pay this)."""
-    values = _axis_values(spec, sysname, index, 1)
-    row = {
+    values = _axis_values_at(spec, sysname, np.array([index]))
+    values = {name: int(column[0]) for name, column in values.items()}
+    return {
         "spec": spec.name,
         "system": sysname,
         "index": index,
-        "n_stacks": int(values["n_stacks"][0]),
-        "precision": _LABEL_BY_CODE[int(values["precision_code"][0])],
-        "params": {
-            name: int(values[name][0]) for name, _ in spec.axes
-        },
+        "n_stacks": values["n_stacks"],
+        "precision": _LABEL_BY_CODE[values["precision_code"]],
+        "params": {name: values[name] for name, _ in spec.axes},
         "gflops": fom / 1e9,
         "total_s": total_s,
         "bound": BOUND_LABELS[bound_code],
     }
-    return row
 
 
 def _merge_topk(

@@ -59,9 +59,41 @@ class TestRoutes:
             assert resp.headers["Content-Type"].startswith("text/plain")
             assert b"Table IV" in resp.read()
 
-    def test_result_route_409_while_unfinished(self, daemon):
+    def test_result_route_404_for_unknown_id(self, daemon):
         status, doc = get_json(daemon.url, "/v1/requests/never/result")
         assert status == 404
+        assert doc == {"error": "unknown request 'never'"}
+
+    def test_result_route_409_while_unfinished(self, tmp_path):
+        daemon = BenchDaemon(tmp_path / "s", workers=1)
+        release = threading.Event()
+
+        def held_bench(body):
+            assert release.wait(timeout=30.0)
+            return "done", 0, "payload\n"
+
+        daemon._run_bench = held_bench
+        daemon.start()
+        try:
+            status, _, _ = post_request(
+                daemon.url, {"request_id": "held", "command": "table4"},
+                wait=False,
+            )
+            assert status == 202
+            status, doc = get_json(daemon.url, "/v1/requests/held/result")
+            assert status == 409
+            assert doc["error"] == "request not finished"
+            assert doc["status"] in ("queued", "running")
+            release.set()
+            assert wait_for_done(daemon.url, "held")["status"] == "done"
+            with urllib.request.urlopen(
+                daemon.url + "/v1/requests/held/result", timeout=30
+            ) as resp:
+                assert resp.status == 200
+                assert resp.read() == b"payload\n"
+        finally:
+            release.set()
+            daemon.stop(timeout_s=10.0)
 
     def test_malformed_requests_get_400(self, daemon):
         cases = [

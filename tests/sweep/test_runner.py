@@ -10,6 +10,8 @@ import os
 import signal
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -18,23 +20,30 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigurationError, MeasurementError
 from repro.exitcodes import ExitCode
-from repro.hw.systems import get_system
+from repro.hw.systems import SYSTEM_NAMES, get_system
 from repro.sim.engine import PerfEngine
 from repro.sim.noise import QUIET
 from repro.sweep.runner import (
     SWEEP_FILE,
     SWEEP_SUMMARY_SCHEMA,
-    _axis_column,
-    _axis_values,
     _axis_values_at,
     _batch_engine,
-    _chunk_batch,
+    _chunk_arrays,
+    _chunk_worker,
+    _kernel_batch,
+    _kernel_grid,
     _sample,
+    _segments,
     run_sweep,
     render_summary,
     sweep_benchmark_entries,
 )
-from repro.sweep.spec import get_sweep_spec
+from repro.sweep.spec import (
+    SWEEP_SPEC_SCHEMA,
+    SweepSpec,
+    get_sweep_spec,
+    load_sweep_spec,
+)
 
 SMOKE = get_sweep_spec("smoke")
 
@@ -44,6 +53,13 @@ NDJSON_KEYS = {
 }
 
 
+def _one_point_batch(spec, sysname, local):
+    """The KernelBatch of one local index, from the divmod gather."""
+    return _kernel_batch(
+        spec, _axis_values_at(spec, sysname, np.array([local]))
+    )
+
+
 def _enumerate_scalar(spec):
     """Brute-force every point through the scalar golden reference."""
     rows = []
@@ -51,7 +67,7 @@ def _enumerate_scalar(spec):
         engine = PerfEngine(get_system(sysname), noise=QUIET)
         points = spec.system_points(sysname)
         for local in range(points):
-            batch, _ = _chunk_batch(spec, sysname, local, 1)
+            batch = _one_point_batch(spec, sysname, local)
             kernel = batch.spec(0)
             n_stacks = int(batch.n_stacks[0])
             point = engine.roofline(kernel, n_stacks)
@@ -247,17 +263,6 @@ class TestWorkerDeath:
 
 
 class TestGridExpansion:
-    @pytest.mark.parametrize("stride", [1, 3, 7, 24, 1000])
-    def test_axis_column_matches_divmod(self, stride):
-        values = np.array([5, 11, 2, 9], dtype=np.int64)
-        for offset in (0, 1, stride - 1, stride, 5 * stride + 2, 997):
-            for count in (1, 2, stride, 4 * stride, 4 * stride + 3, 500):
-                idx = np.arange(offset, offset + count)
-                want = values[idx // stride % values.shape[0]]
-                got = _axis_column(values, stride, offset, count)
-                assert got.dtype == np.int64
-                assert np.array_equal(got, want), (offset, count)
-
     @pytest.mark.parametrize("name", ["smoke", "ci", "mix"])
     def test_axis_values_match_row_major_divmod(self, name):
         spec = get_sweep_spec(name)
@@ -269,13 +274,132 @@ class TestGridExpansion:
             ]
             points = spec.system_points(sysname)
             for offset, count in ((0, points), (points // 3, points // 2)):
-                cols = _axis_values(spec, sysname, offset, count)
+                cols = _axis_values_at(
+                    spec, sysname, np.arange(offset, offset + count)
+                )
                 rem = np.arange(offset, offset + count)
                 for axis, values in reversed(axes):
                     values = np.asarray(values, dtype=np.int64)
                     want = values[rem % values.shape[0]]
                     assert np.array_equal(cols[axis], want), axis
                     rem = rem // values.shape[0]
+
+
+#: One small spec per workload family, each crossing many stack scopes
+#: (``fma`` and ``stream`` have no builtin spec, so all five load from
+#: JSON files, the way a user's own space does).
+_FAMILY_SPECS = {
+    "gemm-tile": {
+        "systems": ["aurora", "dawn"],
+        "precisions": ["fp64", "bf16"],
+        "stacks": "all",
+        "axes": [
+            ["tile_m", [16, 64, 256]],
+            ["tile_n", [32, 128]],
+            ["tile_k", [16, 64]],
+        ],
+    },
+    "fma": {
+        "systems": ["aurora", "jlse-h100"],
+        "precisions": ["fp64", "fp32", "fp16"],
+        "stacks": "all",
+        "axes": [["lanes", [64, 4096]], ["chain", [1, 8, 256]]],
+    },
+    "stream": {
+        "systems": ["dawn", "jlse-mi250"],
+        "precisions": ["none", "fp64"],
+        "stacks": "all",
+        "axes": [["array_mib", [1, 16, 256, 4096]]],
+    },
+    "bude": {
+        "systems": ["aurora", "dawn"],
+        "precisions": ["fp32"],
+        "stacks": [1, 2, 4, 8],
+        "axes": [["ppwi", [1, 4, 16, 64]], ["wgsize", [64, 256, 1024]]],
+    },
+    "mix": {
+        "systems": list(SYSTEM_NAMES),
+        "precisions": ["fp64", "fp32"],
+        "stacks": "all",
+        "axes": [["intensity_q", [1, 16, 256]], ["size_kib", [64, 16384]]],
+    },
+}
+
+_TOP_K = 3
+
+
+def _chunk_outputs(task):
+    """A chunk's full result arrays and its worker result."""
+    spec_doc, sysname, _, offset, count, _, _ = task
+    out = [np.empty(count), np.empty(count), np.empty(count, np.int8)]
+    _chunk_arrays(SweepSpec.from_doc(spec_doc), sysname, offset, out)
+    return out, _chunk_worker(task)
+
+
+class TestKernelGridSegments:
+    """Every chunk, evaluated as kernel-grid segments at one stack count
+    each, equals the per-point definition: the divmod gather of its
+    indices, one KernelBatch with a per-point ``n_stacks`` column, and
+    one ``evaluate`` call."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("workload", sorted(_FAMILY_SPECS))
+    def test_chunks_match_the_per_point_definition(
+        self, tmp_path, workload, jobs
+    ):
+        path = tmp_path / f"{workload}.json"
+        path.write_text(json.dumps({
+            "schema": SWEEP_SPEC_SCHEMA,
+            "name": f"family-{workload}",
+            "workload": workload,
+            **_FAMILY_SPECS[workload],
+        }))
+        spec = load_sweep_spec(str(path))
+        size = len(_kernel_grid(spec)[1])
+        for sysname in spec.systems:
+            points = spec.system_points(sysname)
+            assert points >= 4 * size
+            batch = _kernel_batch(
+                spec, _axis_values_at(spec, sysname, np.arange(points))
+            )
+            result = _batch_engine(sysname).evaluate(batch)
+            total_s = result.total_s
+            with np.errstate(divide="ignore", invalid="ignore"):
+                fom = np.where(total_s > 0, batch.flops / total_s, 0.0)
+            want = (fom, total_s, result.bound_code)
+            for chunk in sorted({1, 7, size - 1, size + 1, 7919}):
+                tasks = [
+                    (spec.to_doc(), sysname, i, offset,
+                     min(chunk, points - offset), _TOP_K, False)
+                    for i, offset in enumerate(range(0, points, chunk))
+                ]
+                if jobs == 1:
+                    outputs = [_chunk_outputs(task) for task in tasks]
+                else:
+                    with ProcessPoolExecutor(
+                        jobs, mp_context=get_context("fork")
+                    ) as pool:
+                        outputs = list(pool.map(_chunk_outputs, tasks))
+                for task, (arrays, res) in zip(tasks, outputs):
+                    offset, count = task[3], task[4]
+                    span = slice(offset, offset + count)
+                    where = (sysname, chunk, offset)
+                    for got, ref in zip(arrays, want):
+                        assert got.dtype == ref.dtype, where
+                        assert got.tobytes() == ref[span].tobytes(), where
+                    key = -fom[span]
+                    k = min(_TOP_K, count)
+                    cand = (
+                        np.argpartition(key, k - 1)[:k] if k < count
+                        else np.arange(count)
+                    )
+                    cand = cand[np.lexsort((cand, key[cand]))]
+                    assert res["top_index"] == (offset + cand).tolist()
+                    assert res["top_fom"] == fom[span][cand].tolist()
+                    assert res["top_total_s"] == total_s[span][cand].tolist()
+                    assert res["top_bound"] == (
+                        want[2][span][cand].tolist()
+                    ), where
 
 
 class TestCollectorPaused:
@@ -370,14 +494,22 @@ def one_ulp_off(monkeypatch, kernel_name: str) -> None:
 
 class TestScalarReference:
     def test_index_gather_matches_the_chunk_expansion(self):
+        values, _ = _kernel_grid(SMOKE)
         for sysname in SMOKE.systems:
             points = SMOKE.system_points(sysname)
             gathered = _axis_values_at(SMOKE, sysname, np.arange(points))
-            for i in range(points):
-                one = _axis_values(SMOKE, sysname, i, 1)
-                assert set(one) == set(gathered)
-                for axis, column in one.items():
-                    assert gathered[axis][i] == column[0], (i, axis)
+            assert set(values) | {"n_stacks"} == set(gathered)
+            for offset in range(0, points, 7):
+                count = min(7, points - offset)
+                for at, kernels, n_stacks in _segments(
+                    SMOKE, sysname, offset, count
+                ):
+                    index = np.arange(offset, offset + count)[at]
+                    assert np.all(gathered["n_stacks"][index] == n_stacks)
+                    for axis, column in values.items():
+                        assert np.array_equal(
+                            gathered[axis][index], column[kernels]
+                        ), (offset, axis)
 
     def test_million_sample_matches_one_point_batches(self):
         spec = get_sweep_spec("million")
@@ -393,7 +525,7 @@ class TestScalarReference:
                 b for b in bounds if b[1] <= g < b[1] + b[2]
             )
             local = g - start
-            batch, _ = _chunk_batch(spec, sysname, local, 1)
+            batch = _one_point_batch(spec, sysname, local)
             want.append((
                 sysname,
                 local,
