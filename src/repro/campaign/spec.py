@@ -143,7 +143,7 @@ class CampaignSpec:
 # named specs
 # ----------------------------------------------------------------------
 
-#: (table key, builder table, systems) for the measured tables.
+#: (table key, systems) for the measured tables.
 _MEASURED_TABLES: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("table2", ("aurora", "dawn")),
     ("table3", ("aurora", "dawn")),

@@ -37,7 +37,7 @@ __all__ = [
 
 UNIT_SCHEMA = "repro.campaign.unit/v1"
 
-#: table key -> (rendered title, driver module attribute, default systems)
+#: table key -> (rendered title, driver module attribute)
 TABLE_DRIVERS = {
     "table2": ("Table II", "table_ii"),
     "table3": ("Table III", "table_iii"),

@@ -340,18 +340,13 @@ def _cmd_systems() -> None:
         print(f"    software: {system.software}")
 
 
-def _print_check(label: str, check) -> None:
-    mark = "ok " if check.passed else "FAIL"
-    print(f"[{mark}] {label:12s} {check.name}"
-          + (f"  ({check.detail})" if check.detail else ""))
-
-
 def _cmd_health(ctx: ExecutionContext, args) -> None:
+    """The node report of the two paper systems (fault-aware under
+    ``--inject``), then the hardware model's structural invariants."""
     from .core.result import CellStatus
-    from .hw.selfcheck import node_health
-    from .hw.systems import get_system
-    from .profiler.selfcheck import profiler_selfcheck
-    from .service.selfcheck import service_selfcheck
+    from .hw.extensions import frontier, jlse_a100
+    from .hw.selfcheck import node_health, self_check
+    from .hw.systems import all_systems, get_system
 
     for name in ("aurora", "dawn"):
         if ctx.active:
@@ -365,31 +360,18 @@ def _cmd_health(ctx: ExecutionContext, args) -> None:
             report = node_health(get_system(name))
         print(report.render())
         print()
-    for label, selfcheck in (
-        ("profiler", profiler_selfcheck),
-        ("service", service_selfcheck),
-    ):
-        checks = selfcheck()
-        for check in checks:
-            _print_check(label, check)
-        if not all(check.passed for check in checks):
-            ctx.record(CellStatus.DEGRADED)
-        print()
-    print(ctx.telemetry_summary())
-
-
-def _cmd_selfcheck() -> None:
-    from .hw.extensions import frontier, jlse_a100
-    from .hw.selfcheck import self_check
-    from .hw.systems import all_systems
-
     ok = total = 0
     for system in all_systems() + [frontier(), jlse_a100()]:
         for check in self_check(system):
             total += 1
             ok += check.passed
-            _print_check(system.name, check)
-    print(f"\n{ok}/{total} checks pass")
+            mark = "ok " if check.passed else "FAIL"
+            print(f"[{mark}] {system.name:12s} {check.name}"
+                  + (f"  ({check.detail})" if check.detail else ""))
+    if ok < total:
+        ctx.record(CellStatus.DEGRADED)
+    print(f"\n{ok}/{total} checks pass\n")
+    print(ctx.telemetry_summary())
 
 
 def _cmd_scaling() -> None:
@@ -472,7 +454,6 @@ _CLEAN = {
     "systems": _cmd_systems,
     "roofline": _cmd_roofline,
     "top500": _cmd_top500,
-    "selfcheck": _cmd_selfcheck,
     "scaling": _cmd_scaling,
 }
 
@@ -680,6 +661,12 @@ def build_parser() -> argparse.ArgumentParser:
         report(name, body, faulted=False)
     for name, body in _FAULTED.items():
         report(name, body)
+    # The structural checks ``selfcheck`` printed are rows of ``health``.
+    commands.add_parser("selfcheck").set_defaults(
+        run=lambda args: parser.error(
+            "selfcheck is part of health: run 'pvc-bench health'"
+        )
+    )
     benches = "benchmark: gemm, triad or p2p (default: %(default)s)"
     trace = report("trace", _cmd_trace)
     _add_bench_args(trace, benches)

@@ -1,8 +1,10 @@
-"""Hardware-model self-checks.
+"""Hardware-model self-checks and the node health report.
 
-Structural invariants every node model must satisfy, runnable as a
-diagnostic (``pvc-bench selfcheck``) and asserted by the test suite.
-A failed check means a construction bug, not a calibration issue.
+:func:`self_check` lists the structural invariants every node model
+must satisfy; a failed check means a construction bug, not a
+calibration issue.  :func:`node_health` reports a node's live state
+(stacks, links, routes) after any injected faults.  ``pvc-bench
+health`` prints both, and the test suite asserts them.
 """
 
 from __future__ import annotations

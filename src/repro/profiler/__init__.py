@@ -14,13 +14,11 @@ the simulated runs the same observability:
   exporter fed from the telemetry span tracer;
 * :mod:`repro.profiler.baseline` — ``BENCH_<n>.json`` perf-regression
   snapshots with a tolerance-based comparator;
-* :mod:`repro.profiler.driver` — the ``pvc-bench profile`` runner;
-* :mod:`repro.profiler.selfcheck` — the profiler leg of
-  ``pvc-bench health``.
+* :mod:`repro.profiler.driver` — the ``pvc-bench profile`` runner.
 
-The package root re-exports nothing: ``driver`` and ``selfcheck`` pull
-in the benchmark stack, and :class:`~repro.telemetry.session.Telemetry`
-imports :mod:`.core` alone to construct an :class:`ApiProfiler`.
+The package root re-exports nothing: ``driver`` pulls in the benchmark
+stack, and :class:`~repro.telemetry.session.Telemetry` imports
+:mod:`.core` alone to construct an :class:`ApiProfiler`.
 """
 
 __all__: list[str] = []

@@ -124,7 +124,7 @@ class ApiCall:
     like its device-profiling section.  ``stream`` identifies the
     simulated command queue (``<system>:<card>.<stack>``) and
     ``clock_us`` its clock at retirement; the profiler checks per-stream
-    monotonicity (the ``health`` self-check surfaces violations).
+    monotonicity and lists violations in ``clock_violations``.
     """
 
     layer: str
@@ -242,8 +242,8 @@ class ApiProfiler:
     def register(self, layer: str, *names: str) -> None:
         """Declare instrumentation points for a runtime layer.
 
-        Registration is idempotent; the ``health`` self-check asserts
-        the expected points are present after exercising the runtime.
+        Registration is idempotent: each runtime object re-declares its
+        layer's points when it is built.
         """
         self._check_layer(layer)
         with self._lock:

@@ -29,7 +29,6 @@ request id + content digest, threads it through admission, the queue
 and forked campaign workers, and returns it in the ``traceparent``
 response header so client-side and server-side latency join on one
 trace id.
-* :mod:`.selfcheck` — the ``pvc-bench health`` service drill.
 
 See ``docs/service.md`` for the API, the lifecycle model and the
 crash-drill invariants.

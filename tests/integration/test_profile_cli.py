@@ -132,12 +132,6 @@ class TestRiders:
         assert "profile" in doc
         assert doc["profile"]["kernels"] > 0
 
-    def test_health_includes_profiler_selfcheck(self, capsys):
-        rc, out = _run(capsys, ["health"])
-        assert rc == 0
-        assert "[ok ] profiler" in out
-        assert "[FAIL] profiler" not in out
-
 
 class TestCampaignProfile:
     def test_crash_resume_manifest_with_profile_digests(

@@ -9,6 +9,8 @@ text with ``retry_count`` > 0.
 """
 
 import json
+import tempfile
+import threading
 
 import pytest
 
@@ -201,11 +203,47 @@ class TestHealthSummary:
         out = capsys.readouterr().out
         assert "telemetry:" in out
 
-    def test_health_runs_no_scheduler_drill(self, capsys):
-        # The worker-death drill is a tier-1 test
-        # (tests/campaign/test_supervisor.py::TestWorkerDeath), not a
-        # row of the node report.
+    def test_health_runs_no_scheduler_drill(self, capsys, monkeypatch):
+        # The worker-death, profiler and service drills are tier-1 tests
+        # (tests/campaign/test_supervisor.py::TestWorkerDeath,
+        # tests/profiler/test_driver.py, tests/service/), not rows of the
+        # node report: health starts no thread and makes no temp dir.
+        def refuse(*args, **kwargs):
+            raise AssertionError("health must run no drill")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
         rc = main(["health"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "scheduler" not in out
+        assert "48/48 checks pass" in out
+        assert "[FAIL]" not in out
+
+    def test_health_degrades_on_a_failing_structural_check(
+        self, capsys, monkeypatch
+    ):
+        import repro.hw.selfcheck as selfcheck
+
+        real = selfcheck.self_check
+
+        def one_broken(system):
+            checks = real(system)
+            if system.name == "dawn":
+                checks[0] = selfcheck.CheckResult(checks[0].name, False, "")
+            return checks
+
+        monkeypatch.setattr(selfcheck, "self_check", one_broken)
+        assert main(["health"]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] dawn" in out
+        assert "47/48 checks pass" in out
+
+    def test_selfcheck_is_a_usage_error_naming_health(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["selfcheck"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "health" in lines[0]

@@ -4,6 +4,12 @@ import pytest
 
 from repro.errors import UnknownBenchmarkError
 from repro.faults import ExecutionContext
+from repro.profiler.core import (
+    MPI_POINTS,
+    SYCL_POINTS,
+    ZE_DRIVER_POINTS,
+    ZE_QUEUE_POINTS,
+)
 from repro.profiler.driver import (
     PROFILE_BENCHES,
     SMOKE_SYSTEMS,
@@ -24,16 +30,40 @@ def test_smoke_set_definition():
     assert set(SMOKE_SYSTEMS) == {"aurora", "dawn"}
 
 
+#: Every interception point a runtime layer declares.
+_LAYER_POINTS = {
+    "ze": set(ZE_DRIVER_POINTS) | set(ZE_QUEUE_POINTS),
+    "sycl": set(SYCL_POINTS),
+    "mpi": set(MPI_POINTS),
+}
+
+
 @pytest.mark.parametrize("bench", PROFILE_BENCHES)
 def test_profile_bench_records_all_layers(bench):
     run = profile_bench(bench, "aurora")
     p = run.profiler
     assert p.n_calls > 0
     assert p.clock_violations == []
-    layers = p.layers()
-    assert "ze" in layers and "sycl" in layers
+    # Only p2p crosses MPI; between them the three benches reach every
+    # layer, each of which registers all of its points and records calls.
+    layers = {"ze", "sycl", "mpi"} if bench == "p2p" else {"ze", "sycl"}
+    assert set(p.layers()) == layers
+    host = p.host_table()
+    for layer in layers:
+        assert _LAYER_POINTS[layer] <= set(p.points(layer)), layer
+        assert sum(s["calls"] for s in host[layer].values()) > 0, layer
     if bench == "p2p":
         assert "MPI_Isend" in p.points("mpi")
+    # Every launched kernel joins the roofline (p2p launches none).
+    rows = p.kernel_attribution()
+    assert bool(rows) == (bench != "p2p")
+    for row in rows:
+        assert row["bound"] in ("compute", "memory", "latency")
+        assert row["model_pct"] > 0.0
+    assert p.digest() == p.digest()
+    again = profile_bench(bench, "aurora")
+    assert again.profiler.digest() == p.digest()
+    assert again.report() == run.report()
     # The staging phase always moves some explicit traffic except p2p,
     # whose traffic flows through MPI messages instead.
     if bench != "p2p":

@@ -293,6 +293,10 @@ class TestDrain:
     def test_stop_is_clean_and_idempotent(self, tmp_path):
         daemon = BenchDaemon(tmp_path / "s", workers=1)
         daemon.start()
+        status, doc, _ = post_request(
+            daemon.url, {"request_id": "d-1", "command": "table4"}
+        )
+        assert status == 200 and doc["status"] == "done"
         assert daemon.stop(timeout_s=10.0) is True
         assert daemon.stop(timeout_s=1.0) is True
 

@@ -102,11 +102,16 @@ class TestTracePropagation:
 
 class TestRequestStream:
     def test_span_logged_per_terminal_request(self, daemon):
-        post_request(daemon.url, {"request_id": "s-1", "command": "table4"})
+        _, doc, _ = post_request(
+            daemon.url, {"request_id": "s-1", "command": "table4"}
+        )
         post_request(daemon.url, {"request_id": "s-2", "command": "table4"})
         records = read_requests(daemon.state.requests_stream_path)
         spans = [r for r in records if r["type"] == "request-span"]
         assert [s["request"] for s in spans] == ["s-1", "s-2"]
+        # The logged span joins the client's trace.
+        minted = mint_trace("s-1", doc["digest"])
+        assert spans[0]["trace_id"] == minted.trace_id
         assert spans[0]["cached"] is False
         assert spans[1]["cached"] is True
         assert spans[0]["endpoint"] == "bench:table4"
