@@ -3,7 +3,9 @@
 A *measuring* unit runs one system's slice of one paper table inside a
 fresh :class:`~repro.faults.ExecutionContext` — its own engines, its own
 fault injector (same scenario + seed) and its own telemetry session
-attributed to the unit id.  Because the fault plans and noise model are
+attributed to the unit id.  That session records metrics only: no unit
+payload, table or campaign artifact reads a span timeline, so it holds
+no tracer.  Because the fault plans and noise model are
 pure functions of ``(scenario, seed, system)``, every unit's payload is
 a pure function of its identity: re-executing a unit after a crash
 reproduces the stored bytes exactly, which is what makes resume safe.
@@ -157,7 +159,7 @@ def apply_watchdog(payload: dict, unit_timeout_s: float | None) -> str | None:
 def _execute_table(
     unit, scenario: str | None, seed: int, profile: bool = False
 ) -> dict:
-    telemetry = Telemetry(unit=unit.id, profile=profile)
+    telemetry = Telemetry(unit=unit.id, profile=profile, trace=False)
     ctx = ExecutionContext(scenario, seed, telemetry=telemetry)
     _, driver_name = TABLE_DRIVERS[unit.table]
     driver = getattr(tables, driver_name)

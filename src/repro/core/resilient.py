@@ -161,7 +161,7 @@ class ResilientRunner(Runner):
                                 benchmark=benchmark,
                                 **tel.unit_labels(),
                             )
-                            tel.tracer.complete(
+                            tel.complete(
                                 f"retry backoff (rep {rep})",
                                 tel.run_lane(),
                                 duration_us=backoff * 1e6,

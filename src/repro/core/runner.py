@@ -69,7 +69,7 @@ class Runner:
         tel = self.telemetry
         if tel is None:
             return
-        tel.tracer.complete(
+        tel.complete(
             f"{benchmark} rep {rep}",
             tel.run_lane(),
             duration_us=sample.elapsed_s * 1e6,

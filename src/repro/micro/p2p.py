@@ -233,7 +233,7 @@ class P2PBandwidth(MicroBenchmark):
                 # One concurrent transfer bar per source stack: the lanes
                 # show the all-pairs contention window side by side.
                 for a, b in live:
-                    tel.tracer.complete(
+                    tel.complete(
                         f"p2p {a}->{b}",
                         tel.gpu_lane(a),
                         duration_us=elapsed * 1e6,

@@ -21,7 +21,6 @@ Two runs with the same seed produce byte-identical profile documents.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from ..ioutils import canonical_json, sha256_text
@@ -222,12 +221,13 @@ class _Stat:
 class ApiProfiler:
     """Collects intercepted API calls and kernel samples for one run.
 
-    Thread safe.  All query methods aggregate over a content-sorted
-    copy of the raw records, so results are independent of record order.
+    It belongs to one telemetry session, which one thread writes, so
+    recording takes no lock.  All query methods aggregate over a
+    content-sorted copy of the raw records, so results are independent
+    of record order.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._calls: list[ApiCall] = []
         self._kernels: list[KernelSample] = []
         self._points: dict[str, set[str]] = {}
@@ -246,23 +246,20 @@ class ApiProfiler:
         layer's points when it is built.
         """
         self._check_layer(layer)
-        with self._lock:
-            self._points.setdefault(layer, set()).update(names)
+        self._points.setdefault(layer, set()).update(names)
 
     def points(self, layer: str | None = None) -> tuple[str, ...]:
         """Registered instrumentation points (for one layer, or all)."""
-        with self._lock:
-            if layer is not None:
-                return tuple(sorted(self._points.get(layer, ())))
-            return tuple(
-                sorted(set().union(*self._points.values()))
-                if self._points
-                else ()
-            )
+        if layer is not None:
+            return tuple(sorted(self._points.get(layer, ())))
+        return tuple(
+            sorted(set().union(*self._points.values()))
+            if self._points
+            else ()
+        )
 
     def layers(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._points))
+        return tuple(sorted(self._points))
 
     def stream(self, base: str) -> str:
         """A stream name for a newly opened queue on *base*.
@@ -274,9 +271,8 @@ class ApiProfiler:
         ``/qN`` suffix.  Queue creation happens sequentially in setup
         code, so the numbering is deterministic.
         """
-        with self._lock:
-            n = self._stream_serial.get(base, 0)
-            self._stream_serial[base] = n + 1
+        n = self._stream_serial.get(base, 0)
+        self._stream_serial[base] = n + 1
         return base if n == 0 else f"{base}/q{n}"
 
     @staticmethod
@@ -321,23 +317,21 @@ class ApiProfiler:
             stream=stream,
             clock_us=clock_us if clock_us is not None else -1.0,
         )
-        with self._lock:
-            self._points.setdefault(layer, set()).add(name)
-            if clock_us is not None and stream:
-                last = self._stream_clock.get(stream)
-                if last is not None and clock_us < last - 1e-9:
-                    self.clock_violations.append(
-                        f"{stream}: {name} clock went backwards "
-                        f"({clock_us:.3f}us after {last:.3f}us)"
-                    )
-                self._stream_clock[stream] = max(last or 0.0, clock_us)
-            self._calls.append(call)
+        self._points.setdefault(layer, set()).add(name)
+        if clock_us is not None and stream:
+            last = self._stream_clock.get(stream)
+            if last is not None and clock_us < last - 1e-9:
+                self.clock_violations.append(
+                    f"{stream}: {name} clock went backwards "
+                    f"({clock_us:.3f}us after {last:.3f}us)"
+                )
+            self._stream_clock[stream] = max(last or 0.0, clock_us)
+        self._calls.append(call)
         return call
 
     def kernel(self, sample: KernelSample) -> None:
         """Record one profiled kernel execution."""
-        with self._lock:
-            self._kernels.append(sample)
+        self._kernels.append(sample)
 
     def record_kernel(self, event) -> None:
         """Record the engine's :class:`~repro.sim.engine.KernelEvent`."""
@@ -364,22 +358,18 @@ class ApiProfiler:
 
     def calls(self) -> list[ApiCall]:
         """Raw calls in content order (record-order independent)."""
-        with self._lock:
-            return sorted(self._calls, key=ApiCall.order_key)
+        return sorted(self._calls, key=ApiCall.order_key)
 
     def kernels(self) -> list[KernelSample]:
-        with self._lock:
-            return sorted(self._kernels, key=KernelSample.order_key)
+        return sorted(self._kernels, key=KernelSample.order_key)
 
     @property
     def n_calls(self) -> int:
-        with self._lock:
-            return len(self._calls)
+        return len(self._calls)
 
     @property
     def n_kernels(self) -> int:
-        with self._lock:
-            return len(self._kernels)
+        return len(self._kernels)
 
     # ------------------------------------------------------------------
     # aggregation (iprof's three sections + the attribution join)

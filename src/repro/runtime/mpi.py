@@ -244,7 +244,7 @@ class Communicator:
     ) -> None:
         """One complete event on this rank's lane (virtual-clock times)."""
         if self._tel is not None and self._lane is not None:
-            self._tel.tracer.complete(
+            self._tel.complete(
                 name,
                 self._lane,
                 duration_us=max(0.0, duration_s) * 1e6,

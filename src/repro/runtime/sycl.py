@@ -199,7 +199,7 @@ class SyclQueue:
         self._events.append(ev)
         tel = self.engine.telemetry
         if tel is not None and self.lane is not None and name is not None:
-            tel.tracer.complete(
+            tel.complete(
                 name,
                 self.lane,
                 duration_us=ev.duration_ns / 1e3,

@@ -5,6 +5,12 @@ performance engine, SYCL queues, the MPI layer, the fault injector and
 the runners all record into the same session, so a single run produces
 one coherent timeline, one metrics scrape and one manifest.
 
+A session built with ``trace=False`` holds no tracer (``tracer is
+None``): campaign units read only metrics, so they record no spans.
+Layers record through :meth:`Telemetry.complete`, :meth:`Telemetry.span`,
+:meth:`Telemetry.instant_fault` and the lane helpers, which are the only
+code that checks for a missing tracer.
+
 Lane naming conventions (see ``docs/telemetry.md``):
 
 * ``run``            — the benchmark driver timeline (repetitions,
@@ -20,6 +26,7 @@ rest.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import TYPE_CHECKING
 
 from .metrics import MetricsRegistry
@@ -56,10 +63,14 @@ class Telemetry:
     """
 
     def __init__(
-        self, unit: str | None = None, *, profile: bool = False
+        self,
+        unit: str | None = None,
+        *,
+        profile: bool = False,
+        trace: bool = True,
     ) -> None:
         self.unit = unit
-        self.tracer = Tracer()
+        self.tracer = Tracer() if trace else None
         self.metrics = MetricsRegistry()
         self.profiler = None
         if profile:
@@ -68,7 +79,7 @@ class Telemetry:
             from ..profiler.core import ApiProfiler
 
             self.profiler = ApiProfiler()
-        self.tracer.lane(RUN_LANE, sort_key=(0, 0, 0))
+        self.run_lane()
         self._queues: dict[tuple[str, object], "SyclQueue"] = {}
         # Pre-declare the resilience counters so a clean scrape still
         # exposes them (at 0) and attaches HELP text.
@@ -86,19 +97,22 @@ class Telemetry:
     # lane registration helpers (sort keys give deterministic ordering)
     # ------------------------------------------------------------------
 
+    def _lane(self, name: str, sort_key: tuple[int, int, int]) -> str:
+        if self.tracer is not None:
+            self.tracer.lane(name, sort_key=sort_key)
+        return name
+
     def run_lane(self) -> str:
-        return self.tracer.lane(RUN_LANE, sort_key=(0, 0, 0))
+        return self._lane(RUN_LANE, (0, 0, 0))
 
     def rank_lane(self, rank: int) -> str:
-        return self.tracer.lane(rank_lane(rank), sort_key=(1, rank, 0))
+        return self._lane(rank_lane(rank), (1, rank, 0))
 
     def gpu_lane(self, ref: "StackRef") -> str:
-        return self.tracer.lane(
-            gpu_lane(ref), sort_key=(2, ref.card, ref.stack)
-        )
+        return self._lane(gpu_lane(ref), (2, ref.card, ref.stack))
 
     def fault_lane(self) -> str:
-        return self.tracer.lane(FAULT_LANE, sort_key=(8, 0, 0))
+        return self._lane(FAULT_LANE, (8, 0, 0))
 
     def unit_labels(self) -> dict[str, str]:
         """Extra metric labels attributing samples to a campaign unit."""
@@ -108,14 +122,23 @@ class Telemetry:
     # recording shortcuts
     # ------------------------------------------------------------------
 
+    def complete(self, name: str, lane: str, duration_us: float, **kw) -> None:
+        """One complete event on *lane* — see :meth:`Tracer.complete`."""
+        if self.tracer is not None:
+            self.tracer.complete(name, lane, duration_us, **kw)
+
     def span(self, name: str, lane: str = RUN_LANE, **attrs):
         """``with telemetry.span("gemm.run", attrs=...):`` — see Tracer."""
+        if self.tracer is None:
+            return nullcontext()
         return self.tracer.span(name, lane, **attrs)
 
     def instant_fault(self, name: str, lane: str | None = None, **args):
         """Mark an injected/observed fault on the timeline + metrics."""
         kind = str(args.get("kind", "fault"))
         self.metrics.inc("fault.count", kind=kind)
+        if self.tracer is None:
+            return None
         return self.tracer.instant(
             name, lane if lane is not None else self.fault_lane(), **args
         )

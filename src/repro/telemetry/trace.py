@@ -27,7 +27,6 @@ events label the lanes in Perfetto.
 from __future__ import annotations
 
 import json
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -112,13 +111,16 @@ def _event_order(event: TraceEvent) -> tuple:
 
 
 class Tracer:
-    """Collects trace events and exports deterministic Perfetto JSON."""
+    """Collects trace events and exports deterministic Perfetto JSON.
+
+    A tracer belongs to one telemetry session, which one thread writes,
+    so recording takes no lock.
+    """
 
     def __init__(self) -> None:
         self._lanes: dict[str, Lane] = {}
         self._events: list[TraceEvent] = []
         self._cursor: dict[str, float] = {}
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # lanes and clocks
@@ -128,14 +130,13 @@ class Tracer:
         self, name: str, sort_key: tuple[int, int, int] | None = None
     ) -> str:
         """Register (or re-register with a better sort key) a lane."""
-        with self._lock:
-            known = self._lanes.get(name)
-            if known is None or sort_key is not None:
-                self._lanes[name] = Lane(
-                    name, sort_key if sort_key is not None else
-                    (known.sort_key if known else (_DEFAULT_GROUP, 0, 0))
-                )
-            self._cursor.setdefault(name, 0.0)
+        known = self._lanes.get(name)
+        if known is None or sort_key is not None:
+            self._lanes[name] = Lane(
+                name, sort_key if sort_key is not None else
+                (known.sort_key if known else (_DEFAULT_GROUP, 0, 0))
+            )
+        self._cursor.setdefault(name, 0.0)
         return name
 
     def lanes(self) -> list[str]:
@@ -156,8 +157,7 @@ class Tracer:
         if duration_us < 0:
             raise ValueError("cannot advance a lane backwards")
         self.lane(lane)
-        with self._lock:
-            self._cursor[lane] += duration_us
+        self._cursor[lane] += duration_us
 
     # ------------------------------------------------------------------
     # recording
@@ -165,10 +165,9 @@ class Tracer:
 
     def record(self, event: TraceEvent) -> None:
         self.lane(event.lane)
-        with self._lock:
-            self._events.append(event)
-            if event.end_us > self._cursor[event.lane]:
-                self._cursor[event.lane] = event.end_us
+        self._events.append(event)
+        if event.end_us > self._cursor[event.lane]:
+            self._cursor[event.lane] = event.end_us
 
     def complete(
         self,
@@ -249,8 +248,7 @@ class Tracer:
 
     @property
     def events(self) -> list[TraceEvent]:
-        with self._lock:
-            return list(self._events)
+        return list(self._events)
 
     def events_on(self, lane: str) -> list[TraceEvent]:
         return sorted(

@@ -14,6 +14,7 @@ from repro.campaign.spec import get_spec
 from repro.errors import CampaignError
 from repro.exitcodes import ExitCode
 from repro.faults.scenarios import CampaignFaultPlan
+from repro.telemetry.trace import Tracer
 
 
 def _run_clean(directory, scenario, seed):
@@ -254,6 +255,30 @@ class TestVerify:
         with open(orch.store.path("table3:dawn"), "a") as fh:
             fh.write(" ")
         assert Orchestrator(tmp_path / "c").verify() == ExitCode.CORRUPT
+
+
+class TestUnitsRecordNoSpans:
+    """A unit's telemetry session feeds metrics only: nothing in a
+    campaign reads a span timeline, so no unit builds a tracer."""
+
+    @pytest.mark.parametrize("scenario", [None, "plane-outage"])
+    def test_campaign_builds_no_tracer(
+        self, tmp_path, clean_runs, monkeypatch, scenario
+    ):
+        code, reference = clean_runs(scenario, 7)
+
+        def refuse(self):
+            raise AssertionError("a campaign unit built a Tracer")
+
+        monkeypatch.setattr(Tracer, "__init__", refuse)
+        again, orch = _run_clean(tmp_path / "c", scenario, 7)
+        assert again == code
+        assert _artifact_bytes(orch) == reference
+        if scenario is not None:
+            merged = aggregate_metrics(
+                [orch.store.get(u.id) for u in orch.spec.execution_order()]
+            )
+            assert merged.counter("fault.count").total() > 0
 
 
 class TestIdempotentMetricAttribution:

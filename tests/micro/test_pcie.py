@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.units import MB
 from repro.micro.pcie import TRANSFER_BYTES, PcieBandwidth
+from repro.runtime.sycl import SyclQueue
 
 
 class TestConfig:
@@ -64,3 +65,28 @@ class TestScopes:
         assert PcieBandwidth("h2d").measure(mi250, 1).value == pytest.approx(
             25e9, rel=0.03
         )
+
+
+class TestPayloadIntegrity:
+    @pytest.mark.parametrize("direction", ["h2d", "d2h", "bidir"])
+    def test_lost_bytes_fail_the_check(self, aurora, monkeypatch, direction):
+        # A copy that times correctly but delivers nothing must not pass:
+        # every direction reads back the seeded bytes it sent.
+        memcpy = SyclQueue.memcpy
+        bidir = SyclQueue.memcpy_bidirectional
+
+        def lossy_memcpy(self, dst, src, *args, **kwargs):
+            ev = memcpy(self, dst, src, *args, **kwargs)
+            dst.buffer[:] = 0
+            return ev
+
+        def lossy_bidir(self, d2h_dst, d2h_src, h2d_dst, h2d_src, *a, **kw):
+            ev = bidir(self, d2h_dst, d2h_src, h2d_dst, h2d_src, *a, **kw)
+            d2h_dst.buffer[:] = 0
+            h2d_dst.buffer[:] = 0
+            return ev
+
+        monkeypatch.setattr(SyclQueue, "memcpy", lossy_memcpy)
+        monkeypatch.setattr(SyclQueue, "memcpy_bidirectional", lossy_bidir)
+        with pytest.raises(AssertionError, match="payload corrupted"):
+            PcieBandwidth(direction).measure(aurora, 1)

@@ -91,3 +91,17 @@ class TestSummary:
         assert "1 span(s)" in text
         assert "1 instant event(s)" in text
         assert "1 fault(s) observed" in text
+
+
+class TestUntracedSession:
+    def test_records_metrics_and_no_events(self):
+        telemetry = Telemetry(trace=False)
+        assert telemetry.tracer is None
+        lane = telemetry.gpu_lane(StackRef(0, 1))
+        assert lane == "gpu 0.1"
+        assert telemetry.rank_lane(2) == "rank 2"
+        with telemetry.span("gemm.run", system="aurora"):
+            telemetry.complete("k", lane, duration_us=1.0)
+        assert telemetry.instant_fault("boom", kind="device-loss") is None
+        assert telemetry.faults_observed() == 1
+        assert telemetry.metrics.value("fault.count", kind="device-loss") == 1
