@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..analysis.artifacts import ARTIFACTS
 from ..errors import CampaignError
 from ..ioutils import canonical_json, sha256_text
 
@@ -143,17 +144,6 @@ class CampaignSpec:
 # named specs
 # ----------------------------------------------------------------------
 
-#: (table key, systems) for the measured tables.
-_MEASURED_TABLES: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("table2", ("aurora", "dawn")),
-    ("table3", ("aurora", "dawn")),
-    ("table6", ("aurora", "dawn", "jlse-h100", "jlse-mi250")),
-)
-
-_STATIC_TABLES = ("table1", "table4", "table5")
-_FIGURES = ("fig1", "fig2", "fig3", "fig4")
-
-
 def _measured_units(
     table: str, systems: tuple[str, ...]
 ) -> list[CampaignUnit]:
@@ -183,29 +173,30 @@ def _summary_unit(units: list[CampaignUnit]) -> CampaignUnit:
     )
 
 
+def _text_unit(name: str) -> CampaignUnit:
+    if name.startswith("fig"):
+        return CampaignUnit(
+            id=f"{name}:render", kind="figure", figure=name,
+            artifact=f"{name}.txt",
+        )
+    return CampaignUnit(
+        id=f"{name}:render", kind="static", table=name,
+        artifact=f"{name}.txt",
+    )
+
+
 def paper_spec() -> CampaignSpec:
-    """The full campaign: every table and figure the paper reports."""
+    """The full campaign: every registry artifact a campaign publishes
+    (:attr:`~repro.analysis.artifacts.Artifact.in_campaign`), measured
+    tables first."""
+    published = [a for a in ARTIFACTS.values() if a.in_campaign]
     units: list[CampaignUnit] = []
-    for table, systems in _MEASURED_TABLES:
-        units.extend(_measured_units(table, systems))
-    for table in _STATIC_TABLES:
-        units.append(
-            CampaignUnit(
-                id=f"{table}:render",
-                kind="static",
-                table=table,
-                artifact=f"{table}.txt",
-            )
-        )
-    for fig in _FIGURES:
-        units.append(
-            CampaignUnit(
-                id=f"{fig}:render",
-                kind="figure",
-                figure=fig,
-                artifact=f"{fig}.txt",
-            )
-        )
+    for artifact in published:
+        if artifact.systems:
+            units.extend(_measured_units(artifact.name, artifact.systems))
+    for artifact in published:
+        if not artifact.systems:
+            units.append(_text_unit(artifact.name))
     units.append(_summary_unit(units))
     return CampaignSpec("paper", tuple(units))
 

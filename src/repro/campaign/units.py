@@ -12,15 +12,19 @@ reproduces the stored bytes exactly, which is what makes resume safe.
 
 A *render* unit never measures: it merges its dependencies' serialised
 cells back into a :class:`~repro.core.result.ResultTable` and renders
-text byte-identical to the monolithic table drivers.
+text byte-identical to the monolithic table drivers.  A *static* or
+*figure* unit renders its artifact's text through the registry
+(:mod:`repro.analysis.artifacts`) the CLI and the service print from.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from ..analysis import tables
-from ..analysis.figures import render_figure
+# The drivers the registry resolves, loaded with the campaign rather
+# than on its first unit.
+from ..analysis import figures, tables  # noqa: F401
+from ..analysis.artifacts import ARTIFACTS, render
 from ..core.result import CellStatus, ResultTable
 from ..core.units import Quantity
 from ..errors import CampaignError
@@ -38,13 +42,6 @@ __all__ = [
 ]
 
 UNIT_SCHEMA = "repro.campaign.unit/v1"
-
-#: table key -> (rendered title, driver module attribute)
-TABLE_DRIVERS = {
-    "table2": ("Table II", "table_ii"),
-    "table3": ("Table III", "table_iii"),
-    "table6": ("Table VI", "table_vi"),
-}
 
 
 # ----------------------------------------------------------------------
@@ -74,9 +71,10 @@ def serialize_table(table: ResultTable) -> dict:
     return {"title": table.title, "cells": cells}
 
 
-def merge_tables(title: str, serialized: Sequence[dict]) -> ResultTable:
-    """Rebuild one table from per-system cell payloads, in dep order."""
-    table = ResultTable(title)
+def merge_tables(serialized: Sequence[dict]) -> ResultTable:
+    """Rebuild one table from per-system cell payloads, in dep order;
+    the title is the one every payload carries."""
+    table = ResultTable(serialized[0]["title"])
     for doc in serialized:
         for row, col, value, unit, status_name, note in doc["cells"]:
             q = None if value is None else Quantity(value, unit)
@@ -111,6 +109,13 @@ def _payload(unit, status: CellStatus, **fields) -> dict:
         "status": status.name,
         **fields,
     }
+
+
+def _text_payload(unit, status: CellStatus, text: str) -> dict:
+    """The payload of a unit that publishes *text* and measures nothing."""
+    return _payload(
+        unit, status, text=text + "\n", simulated_s=0.0, metrics={}, incidents=[]
+    )
 
 
 def format_error(error: BaseException | str) -> str:
@@ -161,9 +166,7 @@ def _execute_table(
 ) -> dict:
     telemetry = Telemetry(unit=unit.id, profile=profile, trace=False)
     ctx = ExecutionContext(scenario, seed, telemetry=telemetry)
-    _, driver_name = TABLE_DRIVERS[unit.table]
-    driver = getattr(tables, driver_name)
-    table = driver(systems=(unit.system,), ctx=ctx)
+    table = ARTIFACTS[unit.table].call(systems=(unit.system,), ctx=ctx)
     status = max(ctx.worst_status, table.worst_status())
     extra: dict = {}
     if telemetry.profiler is not None:
@@ -196,43 +199,8 @@ def _execute_render(unit, dep_payloads: Sequence[dict]) -> dict:
             f"render unit {unit.id!r} cannot run: dependencies "
             f"{', '.join(missing)} produced no cells"
         )
-    title, _ = TABLE_DRIVERS[unit.table]
-    table = merge_tables(title, [d["table"] for d in dep_payloads])
-    return _payload(
-        unit,
-        _dep_status(dep_payloads),
-        text=table.render() + "\n",
-        simulated_s=0.0,
-        metrics={},
-        incidents=[],
-    )
-
-
-def _execute_static(unit) -> dict:
-    text = {
-        "table1": tables.table_i,
-        "table4": lambda: tables.table_iv().render(),
-        "table5": tables.table_v,
-    }[unit.table]()
-    return _payload(
-        unit,
-        CellStatus.OK,
-        text=text + "\n",
-        simulated_s=0.0,
-        metrics={},
-        incidents=[],
-    )
-
-
-def _execute_figure(unit) -> dict:
-    return _payload(
-        unit,
-        CellStatus.OK,
-        text=render_figure(unit.figure) + "\n",
-        simulated_s=0.0,
-        metrics={},
-        incidents=[],
-    )
+    table = merge_tables([d["table"] for d in dep_payloads])
+    return _text_payload(unit, _dep_status(dep_payloads), table.render())
 
 
 def _execute_summary(unit, dep_payloads: Sequence[dict]) -> dict:
@@ -241,14 +209,7 @@ def _execute_summary(unit, dep_payloads: Sequence[dict]) -> dict:
         lines.append(f"{doc['unit']:24s} {doc['status']}")
     worst = _dep_status(dep_payloads)
     lines += ["-" * 40, f"worst unit status: {worst.name}"]
-    return _payload(
-        unit,
-        worst,
-        text="\n".join(lines) + "\n",
-        simulated_s=0.0,
-        metrics={},
-        incidents=[],
-    )
+    return _text_payload(unit, worst, "\n".join(lines))
 
 
 def execute_unit(
@@ -264,10 +225,9 @@ def execute_unit(
         return _execute_table(unit, scenario, seed, profile)
     if unit.kind == "render":
         return _execute_render(unit, deps)
-    if unit.kind == "static":
-        return _execute_static(unit)
-    if unit.kind == "figure":
-        return _execute_figure(unit)
+    if unit.kind in ("static", "figure"):
+        text = render(unit.table or unit.figure)
+        return _text_payload(unit, CellStatus.OK, text)
     if unit.kind == "summary":
         return _execute_summary(unit, deps)
     raise CampaignError(f"unit {unit.id!r}: unknown kind {unit.kind!r}")

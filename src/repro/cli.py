@@ -80,7 +80,7 @@ import argparse
 import sys
 from typing import TYPE_CHECKING
 
-from . import analysis
+from .analysis.artifacts import ARTIFACTS, render
 from .errors import ReproError
 from .exitcodes import ExitCode, classify_error
 
@@ -323,8 +323,10 @@ def _cmd_metrics(ctx: ExecutionContext, args) -> None:
 
 
 def _cmd_claims() -> None:
+    from .analysis.compare import all_claims
+
     ok = 0
-    claims = analysis.all_claims()
+    claims = all_claims()
     for c in claims:
         mark = "PASS" if c.holds else "FAIL"
         ok += c.holds
@@ -432,24 +434,22 @@ def _cmd_top500() -> None:
 
 # Report commands.  Those taking the fault flags get the execution
 # context and the parsed args; the rest take no arguments and run clean.
+# The paper's artifacts print what the campaign and the service render.
 _FAULTED = {
-    "table2": lambda ctx, args: print(analysis.table_ii(ctx=ctx).render()),
-    "table3": lambda ctx, args: print(analysis.table_iii(ctx=ctx).render()),
-    "table6": lambda ctx, args: print(analysis.table_vi(ctx=ctx).render()),
-    "report": lambda ctx, args: print(analysis.full_report(ctx)),
+    **{
+        name: lambda ctx, args, name=name: print(render(name, ctx))
+        for name, artifact in ARTIFACTS.items()
+        if artifact.takes_ctx
+    },
     "health": _cmd_health,
 }
 
 _CLEAN = {
-    "table1": lambda: print(analysis.table_i()),
-    "table4": lambda: print(analysis.table_iv().render()),
-    "table5": lambda: print(analysis.table_v()),
-    # Figures render through the same text path the campaign result
-    # store uses, so campaign artifacts are byte-identical to stdout.
-    "fig1": lambda: print(analysis.render_figure("fig1")),
-    "fig2": lambda: print(analysis.render_figure("fig2")),
-    "fig3": lambda: print(analysis.render_figure("fig3")),
-    "fig4": lambda: print(analysis.render_figure("fig4")),
+    **{
+        name: lambda name=name: print(render(name))
+        for name, artifact in ARTIFACTS.items()
+        if not artifact.takes_ctx
+    },
     "claims": _cmd_claims,
     "systems": _cmd_systems,
     "roofline": _cmd_roofline,

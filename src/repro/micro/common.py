@@ -4,6 +4,8 @@ Every microbenchmark follows the paper's protocol (Section IV-A): run
 several repetitions, report the best.  :class:`MicroBenchmark` wires that
 protocol to the performance engine and exposes a uniform
 ``measure(engine, n_stacks)`` entry point used by the table regenerators.
+Kernels run on SYCL queues whether or not a telemetry session watches:
+a session observes a run and never selects its path.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from ..core.resilient import ResilientRunner
 from ..core.result import BenchmarkResult, DeviceScope, Measurement
 from ..core.runner import RunPlan, Runner
 from ..errors import DeviceLostError
+from ..runtime.sycl import stack_queue
 from ..sim.engine import PerfEngine
 from ..sim.kernel import KernelSpec
 
@@ -107,45 +110,38 @@ class MicroBenchmark(abc.ABC):
         return {}
 
     # ------------------------------------------------------------------
-    # traced kernel execution
+    # kernel execution through SYCL queues
     # ------------------------------------------------------------------
 
-    def _traced_kernel_elapsed(
+    def _kernel_elapsed(
         self, engine: PerfEngine, spec: KernelSpec, n_stacks: int, rep: int
     ) -> float:
-        """Kernel time for one repetition, through traced queues when a
-        telemetry session is attached.
+        """Kernel time for one repetition, timed as the paper's SYCL
+        ports time it: one queue per selected stack, slowest event wins.
 
-        Untelemetered runs call :meth:`PerfEngine.kernel_time_s` directly
-        (byte-identical to the pre-telemetry behaviour).  With telemetry,
-        the kernel is submitted on one SYCL queue per selected stack so
-        each ``gpu C.S`` lane shows its timeline; the queues are acquired
-        once and kept across repetitions — like real benchmark setup code
-        — so a device lost mid-run surfaces as a retryable
+        The queues are picked once per scope and kept across
+        repetitions, like real benchmark setup code, so a device lost
+        mid-run surfaces as a retryable
         :class:`~repro.errors.DeviceLostError` on the next submit, and
-        the retry re-acquires queues on the survivors.
+        the retry picks queues on the survivors.
         """
-        tel = engine.telemetry
-        if tel is None:
-            return engine.kernel_time_s(spec, n_stacks, rep=rep)
-        cache = self.__dict__.setdefault("_queue_cache", {})
+        held = self.__dict__.setdefault("_held_queues", {})
         key = (engine.system.name, n_stacks)
-        queues = cache.get(key)
+        queues = held.get(key)
         if queues is None:
-            queues = [
-                tel.sycl_queue(engine, ref)
+            queues = held[key] = [
+                stack_queue(engine, ref)
                 for ref in engine.select_stacks(n_stacks)
             ]
-            cache[key] = queues
         try:
             events = []
             for queue in queues:
                 queue.set_repetition(rep)
                 events.append(queue.submit(spec, n_stacks=n_stacks))
         except DeviceLostError:
-            cache.pop(key, None)
+            held.pop(key, None)
             raise
-        if getattr(tel, "profiler", None) is not None:
+        if getattr(engine.telemetry, "profiler", None) is not None:
             # Profiled runs read the timestamps the way the paper's SYCL
             # ports do — through the event's profiling info (each query
             # is itself an intercepted API call).

@@ -159,6 +159,6 @@ class Gemm(MicroBenchmark):
         self, engine: PerfEngine, n_stacks: int, rep: int
     ) -> Measurement:
         spec = gemm_kernel(self.precision, self.n)
-        elapsed = self._traced_kernel_elapsed(engine, spec, n_stacks, rep)
+        elapsed = self._kernel_elapsed(engine, spec, n_stacks, rep)
         unit = "Iop/s" if self.precision.is_integer else "Flop/s"
         return Measurement(elapsed_s=elapsed, work=spec.flops, unit=unit)

@@ -124,5 +124,5 @@ class Triad(MicroBenchmark):
     ) -> Measurement:
         # Timed leg at paper scale.
         spec = triad_kernel(triad_array_bytes(engine))
-        elapsed = self._traced_kernel_elapsed(engine, spec, n_stacks, rep)
+        elapsed = self._kernel_elapsed(engine, spec, n_stacks, rep)
         return Measurement(elapsed_s=elapsed, work=spec.total_bytes, unit="B/s")

@@ -100,6 +100,7 @@ def run_bench(ctx: ExecutionContext, bench: str, system: str) -> BenchmarkResult
     from ..micro.gemm import Gemm
     from ..micro.p2p import P2PBandwidth
     from ..micro.triad import Triad
+    from ..runtime.sycl import stack_queue
 
     if bench not in PROFILE_BENCHES:
         raise UnknownBenchmarkError(
@@ -113,10 +114,9 @@ def run_bench(ctx: ExecutionContext, bench: str, system: str) -> BenchmarkResult
         instance, n_stacks = Triad(), engine.node.n_stacks
     else:  # p2p: single pair, exercised through the simulated MPI layer
         instance, n_stacks = P2PBandwidth("remote"), 1
-    tel = ctx.telemetry
-    if tel is not None and getattr(tel, "profiler", None) is not None:
+    if getattr(ctx.telemetry, "profiler", None) is not None:
         ref = engine.select_stacks(1)[0]
-        queue = tel.sycl_queue(engine, ref)
+        queue = stack_queue(engine, ref)
         _STAGING[bench](engine, queue)
     result = instance.measure(engine, n_stacks=n_stacks, plan=_PLAN)
     if result.provenance is not None:

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import AllocationError, ConfigurationError
+from ..errors import AllocationError, ConfigurationError, DeviceLostError
 from ..hw.ids import StackRef
 from ..sim.engine import PerfEngine
 from ..sim.kernel import KernelSpec
@@ -38,6 +38,7 @@ __all__ = [
     "SyclEvent",
     "SyclQueue",
     "SyclRuntime",
+    "stack_queue",
 ]
 
 
@@ -446,3 +447,21 @@ class SyclRuntime:
         if device is None:
             device = self.default_device()
         return SyclQueue(self.engine, device, enable_profiling=enable_profiling)
+
+
+def stack_queue(engine: PerfEngine, ref: StackRef) -> SyclQueue:
+    """The engine's queue on stack *ref*, opened on first use and kept,
+    so its clock (and ``gpu C.S`` lane) runs on across repetitions.
+
+    Opening one enumerates devices as a SYCL program does: a stack lost
+    to fault injection is skipped (the runtime notes it), and asking for
+    it raises a retryable :class:`~repro.errors.DeviceLostError`.
+    """
+    queue = engine.queues.get(ref)
+    if queue is None:
+        runtime = SyclRuntime(engine)
+        device = next((d for d in runtime.devices() if d.ref == ref), None)
+        if device is None:
+            raise DeviceLostError(f"device {ref} is lost", stack=ref)
+        queue = engine.queues[ref] = runtime.queue(device)
+    return queue

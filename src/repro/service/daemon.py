@@ -57,16 +57,10 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler
 
-from ..analysis.figures import render_figure
-from ..analysis.report import full_report
-from ..analysis.tables import (
-    table_i,
-    table_ii,
-    table_iii,
-    table_iv,
-    table_v,
-    table_vi,
-)
+# The drivers the registry resolves, loaded with the daemon rather than
+# on its first request.
+from ..analysis import figures, report, tables  # noqa: F401
+from ..analysis.artifacts import ARTIFACTS, render
 from ..errors import CampaignError, ReproError
 from ..exitcodes import ExitCode, classify_error
 from ..faults import ExecutionContext
@@ -109,47 +103,6 @@ DEFAULT_WORKERS = 4
 #: Largest request body the daemon will read (a request is a small
 #: JSON document; anything bigger is a client bug or an attack).
 MAX_BODY_BYTES = 64 * 1024
-
-#: Benchmark commands a ``bench`` request may name.  Everything here is
-#: a pure function of ``(command, scenario, seed)``, which is what
-#: makes result caching and crash-retry byte-identical.
-_BENCH_COMMANDS = (
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "report",
-)
-
-
-def _render_bench(command: str, ctx: ExecutionContext) -> str:
-    if command == "table1":
-        return table_i()
-    if command == "table2":
-        return table_ii(ctx=ctx).render()
-    if command == "table3":
-        return table_iii(ctx=ctx).render()
-    if command == "table4":
-        return table_iv().render()
-    if command == "table5":
-        return table_v()
-    if command == "table6":
-        return table_vi(ctx=ctx).render()
-    if command == "report":
-        return full_report(ctx)
-    if command in ("fig1", "fig2", "fig3", "fig4"):
-        return render_figure(command)
-    raise CampaignError(
-        f"unknown bench command {command!r}; choose from: "
-        + ", ".join(_BENCH_COMMANDS)
-    )
-
 
 def _trace_headers(doc: dict) -> dict:
     """A ``traceparent`` header from a record/status document (or {})."""
@@ -717,7 +670,15 @@ class BenchDaemon:
     def _run_bench(self, body: dict) -> tuple[str, int, str]:
         try:
             ctx = ExecutionContext(body["scenario"], body["seed"])
-            text = _render_bench(body["command"], ctx)
+            # Every artifact is a pure function of (command, scenario,
+            # seed): what makes caching and crash-retry byte-identical.
+            command = body["command"]
+            if command not in ARTIFACTS:
+                raise CampaignError(
+                    f"unknown bench command {command!r}; choose from: "
+                    + ", ".join(ARTIFACTS)
+                )
+            text = render(command, ctx)
             return "done", int(ctx.exit_code()), text
         except ReproError as exc:
             return "failed", int(classify_error(exc)), f"{exc}\n"

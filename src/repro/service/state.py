@@ -35,6 +35,7 @@ side effects are idempotent).
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
@@ -74,18 +75,23 @@ def _valid_queue_record(doc: dict) -> bool:
 def _coerce(value, convert, field: str, default):
     """Coerce a JSON field, mapping every failure to :class:`ValueError`.
 
-    ``int({})``/``float(None)`` raise ``TypeError``, not ``ValueError``
-    — without this shim a body like ``{"seed": null}`` would escape the
-    daemon's 400 mapping as a traceback.
+    ``int({})``/``float(None)`` raise ``TypeError`` and ``int(inf)``
+    ``OverflowError``, not ``ValueError``: without this shim a body like
+    ``{"seed": null}`` or ``{"seed": 1e400}`` would drop the connection
+    instead of getting a 400.  A NaN or infinite float is refused too,
+    so the normalized body and its digest stay valid JSON.
     """
     if value is None:
         return default
     try:
-        return convert(value)
-    except (TypeError, ValueError):
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(
             f"{field} must be a {convert.__name__}, got {value!r}"
         ) from None
+    if isinstance(number, float) and not math.isfinite(number):
+        raise ValueError(f"{field} must be finite, got {value!r}")
+    return number
 
 
 def normalize_request(doc: dict) -> dict:

@@ -123,6 +123,9 @@ class PerfEngine:
         self.enable_tdp = enable_tdp
         self.faults = faults
         self.telemetry = telemetry
+        #: SYCL queues opened on this engine, one per stack; owned by
+        #: :func:`repro.runtime.sycl.stack_queue`.
+        self.queues: dict = {}
         self.transfers = TransferModel(
             self.node,
             self.cal,

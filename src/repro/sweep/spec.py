@@ -211,21 +211,31 @@ class SweepSpec:
                 f"{doc.get('schema') if isinstance(doc, dict) else None!r})"
             )
         stacks = doc.get("stacks", "all")
-        return cls(
-            name=str(doc["name"]),
-            workload=str(doc["workload"]),
-            systems=tuple(str(s) for s in doc["systems"]),
-            precisions=tuple(str(p) for p in doc["precisions"]),
-            stacks=(
-                stacks if isinstance(stacks, str)
-                else tuple(int(s) for s in stacks)
-            ),
-            axes=tuple(
-                (str(name), tuple(int(v) for v in values))
-                for name, values in doc["axes"]
-            ),
-            description=str(doc.get("description", "")),
-        )
+        # A spec file is untrusted input: a missing field, an axis that
+        # is not a (name, values) pair or a non-integer value is a
+        # ConfigurationError (one CLI error line), not a traceback.
+        try:
+            return cls(
+                name=str(doc["name"]),
+                workload=str(doc["workload"]),
+                systems=tuple(str(s) for s in doc["systems"]),
+                precisions=tuple(str(p) for p in doc["precisions"]),
+                stacks=(
+                    stacks if isinstance(stacks, str)
+                    else tuple(int(s) for s in stacks)
+                ),
+                axes=tuple(
+                    (str(name), tuple(int(v) for v in values))
+                    for name, values in doc["axes"]
+                ),
+                description=str(doc.get("description", "")),
+            )
+        except KeyError as exc:
+            raise ConfigurationError(
+                f"sweep spec is missing field {exc.args[0]!r}"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed sweep spec: {exc}") from None
 
 
 def _tile_axis(lo: int, hi: int, step: int) -> tuple[int, ...]:

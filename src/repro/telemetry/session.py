@@ -34,8 +34,6 @@ from .trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..hw.ids import StackRef
-    from ..sim.engine import PerfEngine
-    from ..runtime.sycl import SyclQueue
 
 __all__ = ["Telemetry", "RUN_LANE", "FAULT_LANE", "gpu_lane", "rank_lane"]
 
@@ -54,7 +52,7 @@ def rank_lane(rank: int) -> str:
 
 
 class Telemetry:
-    """One run's telemetry session (tracer + metrics + queue cache).
+    """One run's telemetry session (tracer + metrics).
 
     ``unit`` names the campaign unit this session is attributed to (if
     any): runners add a ``unit=<id>`` label to their resilience counters,
@@ -80,7 +78,6 @@ class Telemetry:
 
             self.profiler = ApiProfiler()
         self.run_lane()
-        self._queues: dict[tuple[str, object], "SyclQueue"] = {}
         # Pre-declare the resilience counters so a clean scrape still
         # exposes them (at 0) and attaches HELP text.
         self.metrics.counter(
@@ -142,34 +139,6 @@ class Telemetry:
         return self.tracer.instant(
             name, lane if lane is not None else self.fault_lane(), **args
         )
-
-    # ------------------------------------------------------------------
-    # SYCL queue cache (per-device timelines that persist across reps)
-    # ------------------------------------------------------------------
-
-    def sycl_queue(self, engine: "PerfEngine", ref: "StackRef") -> "SyclQueue":
-        """A cached telemetry-wired queue on *ref*.
-
-        Caching keeps each device lane's simulated clock advancing across
-        repetitions, so the exported timeline is one continuous run.
-        """
-        key = (engine.system.name, ref)
-        queue = self._queues.get(key)
-        if queue is None:
-            from ..errors import DeviceLostError
-            from ..runtime.sycl import SyclRuntime
-
-            runtime = SyclRuntime(engine)
-            device = next(
-                (d for d in runtime.devices() if d.ref == ref), None
-            )
-            if device is None:
-                # The stack vanished between selection and queue creation
-                # (injected loss): surface a retryable error.
-                raise DeviceLostError(f"device {ref} is lost", stack=ref)
-            queue = runtime.queue(device)
-            self._queues[key] = queue
-        return queue
 
     # ------------------------------------------------------------------
     # summaries

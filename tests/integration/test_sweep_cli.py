@@ -66,6 +66,19 @@ class TestSweepCommand:
         assert rc == 2
         assert "no builtin sweep spec" in capsys.readouterr().err
 
+    def test_malformed_spec_file_is_one_error_line(self, tmp_path, capsys):
+        spec = get_sweep_spec("smoke").to_doc()
+        spec["axes"] = [["tile_m"]]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(spec))
+        rc = main(["sweep", str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "pvc-bench: ConfigurationError: malformed sweep spec: not enough "
+            "values to unpack (expected 2, got 1)"
+        ]
+
     def test_chunked_sharded_run_matches_serial(self, tmp_path, capsys):
         serial = tmp_path / "serial"
         forked = tmp_path / "forked"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AllocationError
-from repro.runtime.sycl import SyclRuntime, UsmKind
+from repro.runtime.sycl import SyclRuntime, UsmKind, stack_queue
 
 
 @pytest.fixture()
@@ -127,3 +127,36 @@ class TestSubmit:
 
     def test_wait_is_noop_for_inorder(self, queue):
         queue.wait()  # must not raise
+
+
+class TestStackQueue:
+    def test_queue_cached_per_stack(self):
+        from repro.hw.systems import get_system
+        from repro.sim.engine import PerfEngine
+        from repro.sim.noise import QUIET
+        from repro.telemetry import Telemetry
+
+        engine = PerfEngine(
+            get_system("aurora"), noise=QUIET, telemetry=Telemetry()
+        )
+        ref = engine.node.stacks()[0]
+        q1 = stack_queue(engine, ref)
+        q2 = stack_queue(engine, ref)
+        assert q1 is q2
+        other = stack_queue(engine, engine.node.stacks()[1])
+        assert other is not q1
+        assert other.lane != q1.lane
+
+    def test_lost_device_raises_retryable(self):
+        from repro.errors import DeviceLostError
+        from repro.faults import ExecutionContext
+        from repro.telemetry import Telemetry
+
+        telemetry = Telemetry()
+        ctx = ExecutionContext("device-loss", seed=7, telemetry=telemetry)
+        engine = ctx.engine("aurora")
+        engine.faults.fast_forward()
+        dead = [r for r in engine.node.stacks() if engine.faults.is_dead(r)]
+        assert dead
+        with pytest.raises(DeviceLostError):
+            stack_queue(engine, dead[0])

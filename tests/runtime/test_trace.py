@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.hw.systems import get_system
+from repro.runtime.sycl import stack_queue
 from repro.sim.engine import PerfEngine
 from repro.sim.kernel import triad_kernel
 from repro.sim.noise import QUIET
@@ -19,7 +20,7 @@ def _engine(telemetry: Telemetry) -> PerfEngine:
 def traced():
     telemetry = Telemetry()
     engine = _engine(telemetry)
-    queue = telemetry.sycl_queue(engine, engine.node.stacks()[0])
+    queue = stack_queue(engine, engine.node.stacks()[0])
     queue.set_repetition(2)
     return telemetry.tracer, queue
 
@@ -80,8 +81,8 @@ class TestTracer:
         engine = _engine(telemetry)
         stacks = engine.node.stacks()
         # Acquire out of order: the export must still sort by sort key.
-        q1 = telemetry.sycl_queue(engine, stacks[1])
-        q0 = telemetry.sycl_queue(engine, stacks[0])
+        q1 = stack_queue(engine, stacks[1])
+        q0 = stack_queue(engine, stacks[0])
         q0.submit(triad_kernel(1 << 16))
         q1.submit(triad_kernel(1 << 16))
         tracer = telemetry.tracer
@@ -132,7 +133,7 @@ class TestTracer:
         def build() -> str:
             telemetry = Telemetry()
             engine = _engine(telemetry)
-            queue = telemetry.sycl_queue(engine, engine.node.stacks()[0])
+            queue = stack_queue(engine, engine.node.stacks()[0])
             queue.set_repetition(1)
             host = queue.malloc_host(1 << 16)
             dev = queue.malloc_device(1 << 16)

@@ -18,7 +18,7 @@ import pytest
 
 from repro.service.admission import AdmissionController
 from repro.service.daemon import BenchDaemon
-from repro.service.state import ServiceState
+from repro.service.state import ServiceState, normalize_request
 
 from .conftest import (
     REPO_SRC,
@@ -116,6 +116,19 @@ class TestRoutes:
             assert status == 400, doc
             assert "error" in body
 
+    def test_non_finite_numbers_get_400(self, daemon):
+        # JSON's Infinity/NaN (json.dumps writes them) must refuse, not
+        # drop the connection (int(inf) raises OverflowError) or carry a
+        # NaN into the normalized body and its digest.
+        for field, value in (
+            ("seed", float("inf")),
+            ("deadline_s", float("nan")),
+        ):
+            doc = {"request_id": "x", "command": "table4", field: value}
+            status, body, _ = post_request(daemon.url, doc)
+            assert status == 400, doc
+            assert field in body["error"]
+
     def test_null_numeric_fields_mean_absent(self, daemon):
         # JSON null for an optional numeric reads as the default, not
         # a TypeError escaping as a dropped connection.
@@ -142,6 +155,33 @@ class TestRoutes:
         assert "service_cache_hit_rate" in body
         assert "service_requests" in body
         assert body.rstrip().endswith("# EOF")
+
+
+class TestNormalizeRequest:
+    """Every malformed number is a ValueError (the daemon's 400)."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            '{"command": "table4", "seed": Infinity}',
+            '{"command": "table4", "seed": -Infinity}',
+            '{"command": "table4", "seed": 1e400}',
+            '{"command": "table4", "seed": NaN}',
+            '{"kind": "campaign", "jobs": Infinity}',
+            '{"command": "table4", "deadline_s": NaN}',
+            '{"command": "table4", "deadline_s": Infinity}',
+            '{"command": "table4", "deadline_s": -Infinity}',
+        ],
+    )
+    def test_non_finite_number_is_a_value_error(self, raw):
+        with pytest.raises(ValueError):
+            normalize_request(json.loads(raw))
+
+    def test_finite_numbers_still_normalize(self):
+        body = normalize_request(
+            json.loads('{"command": "table4", "seed": 7, "deadline_s": 2.5}')
+        )
+        assert (body["seed"], body["deadline_s"]) == (7, 2.5)
 
 
 class TestIdempotency:
@@ -309,8 +349,6 @@ class TestDrain:
 class TestRecovery:
     def test_journalled_requests_replay_on_construction(self, tmp_path):
         state = ServiceState(tmp_path / "s")
-        from repro.service.state import normalize_request
-
         body = normalize_request({"command": "table4"})
         state.journal_accepted("lost-1", "default", body)
         state.journal_accepted("lost-2", "default", body)

@@ -103,6 +103,29 @@ class TestSerialization:
         with pytest.raises(ConfigurationError, match="not a sweep spec"):
             SweepSpec.from_doc({"schema": "nope"})
 
+    @pytest.mark.parametrize(
+        "field", ["name", "workload", "systems", "precisions", "axes"]
+    )
+    def test_missing_field_is_a_configuration_error(self, field):
+        doc = get_sweep_spec("smoke").to_doc()
+        del doc[field]
+        with pytest.raises(ConfigurationError, match=f"missing field '{field}'"):
+            SweepSpec.from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            [["tile_m"]],
+            [["tile_m", ["x"]], ["tile_n", [64]], ["tile_k", [16]]],
+            [["tile_m", None], ["tile_n", [64]], ["tile_k", [16]]],
+        ],
+        ids=["one-element-pair", "non-integer-value", "null-values"],
+    )
+    def test_malformed_axes_are_a_configuration_error(self, axes):
+        doc = dict(get_sweep_spec("smoke").to_doc(), axes=axes)
+        with pytest.raises(ConfigurationError, match="malformed sweep spec"):
+            SweepSpec.from_doc(doc)
+
     def test_load_from_json_file(self, tmp_path):
         spec = _spec(name="from-file")
         path = tmp_path / "space.json"

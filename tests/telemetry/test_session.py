@@ -1,17 +1,8 @@
-"""Telemetry session: lane conventions, fault markers, queue cache."""
-
-import pytest
+"""Telemetry session: lane conventions and fault markers."""
 
 from repro.hw.ids import StackRef
-from repro.hw.systems import get_system
-from repro.sim.engine import PerfEngine
-from repro.sim.noise import QUIET
 from repro.telemetry import Telemetry
 from repro.telemetry.trace import INSTANT
-
-
-def _engine(telemetry: Telemetry) -> PerfEngine:
-    return PerfEngine(get_system("aurora"), noise=QUIET, telemetry=telemetry)
 
 
 class TestLanes:
@@ -54,32 +45,6 @@ class TestFaultMarkers:
         telemetry = Telemetry()
         event = telemetry.instant_fault("plane 1 outage", kind="plane-outage")
         assert event.lane == "faults"
-
-
-class TestQueueCache:
-    def test_queue_cached_per_stack(self):
-        telemetry = Telemetry()
-        engine = _engine(telemetry)
-        ref = engine.node.stacks()[0]
-        q1 = telemetry.sycl_queue(engine, ref)
-        q2 = telemetry.sycl_queue(engine, ref)
-        assert q1 is q2
-        other = telemetry.sycl_queue(engine, engine.node.stacks()[1])
-        assert other is not q1
-        assert other.lane != q1.lane
-
-    def test_lost_device_raises_retryable(self):
-        from repro.errors import DeviceLostError
-        from repro.faults import ExecutionContext
-
-        telemetry = Telemetry()
-        ctx = ExecutionContext("device-loss", seed=7, telemetry=telemetry)
-        engine = ctx.engine("aurora")
-        engine.faults.fast_forward()
-        dead = [r for r in engine.node.stacks() if engine.faults.is_dead(r)]
-        assert dead
-        with pytest.raises(DeviceLostError):
-            telemetry.sycl_queue(engine, dead[0])
 
 
 class TestSummary:
