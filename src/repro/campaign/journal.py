@@ -23,14 +23,13 @@ Format v2 (this module's writer) appends one fsynced line per record —
 O(1) per append — instead of atomically rewriting the whole file
 (format v1), which made an n-record campaign pay O(n²) journal bytes.
 The price of appending in place is that a crash mid-append can leave a
-*torn tail*: a partial last line.  The per-record checksum confines the
-damage — :meth:`Journal.load` keeps the longest intact prefix and
-reports how many trailing records were dropped — and the first append
-after loading a journal whose on-disk bytes don't match the trusted
-prefix (torn tail, or a pre-existing foreign file) heals it with one
-atomic rewrite before resuming O(1) appends.  The reader accepts both
-``"v": 1`` and ``"v": 2`` records, so journals written before the
-format change load unchanged.
+*torn tail*: a partial last line.  The journal is a sealed
+:class:`~repro.ioutils.RecordLog`, so the damage is confined the way
+it is for every record stream: :meth:`Journal.load` keeps the longest
+intact prefix and reports how many trailing records were dropped, and
+the first append after a tear cuts the file back to that prefix before
+it writes.  The reader accepts both ``"v": 1`` and ``"v": 2`` records,
+so journals written before the format change load unchanged.
 
 No record contains wall-clock timestamps or hostnames; replaying the
 journal is deterministic, and the byte sequence on disk is a pure
@@ -40,18 +39,12 @@ parallel campaign runs be compared with ``cmp``.
 
 from __future__ import annotations
 
-import json
 import os
 
 from ..errors import CampaignCorruptError
-from ..ioutils import (
-    atomic_write_text,
-    fsync_append_text,
-    record_intact,
-    seal_record,
-)
+from ..ioutils import RecordLog
 
-__all__ = ["JournalRecord", "Journal"]
+__all__ = ["Journal"]
 
 #: Record types the reader accepts (documented in docs/campaigns.md);
 #: the orchestrator writes all of them but ``unit-quarantined``.
@@ -77,40 +70,21 @@ RECORD_VERSIONS = (1, 2)
 WRITE_VERSION = 2
 
 
-class JournalRecord(dict):
-    """One journal record (a dict with checksum helpers)."""
-
-    @staticmethod
-    def seal(payload: dict) -> "JournalRecord":
-        """Attach the integrity checksum to *payload*."""
-        return JournalRecord(seal_record(payload))
-
-    def intact(self) -> bool:
-        return record_intact(self)
-
-    def line(self) -> str:
-        """The record's on-disk form: sorted JSON plus newline."""
-        return json.dumps(self, sort_keys=True) + "\n"
+def _check_record(doc: dict) -> None:
+    if doc.get("type") not in RECORD_TYPES:
+        raise ValueError(f"has unknown type {doc.get('type')!r}")
+    if doc.get("v") not in RECORD_VERSIONS:
+        raise ValueError(f"has unsupported version {doc.get('v')!r}")
 
 
 class Journal:
     """Append-only, checksummed JSONL journal with torn-tail recovery."""
 
     def __init__(self, path: str | os.PathLike) -> None:
-        self.path = os.fspath(path)
-        self._records: list[JournalRecord] = []
+        self._log = RecordLog(path, _check_record, sealed=True)
+        self.path = self._log.path
+        self._records: list[dict] = []
         self.dropped_tail = 0
-        # Bytes of the on-disk file known to hold exactly the trusted
-        # records, in order, fsynced.  ``None`` means the disk state is
-        # unknown (fresh Journal, or a loaded file with a corrupt
-        # tail): the next append verifies and, if needed, heals the
-        # file with one atomic rewrite before going back to O(1)
-        # appends.
-        self._synced_bytes: int | None = None
-
-    # ------------------------------------------------------------------
-    # loading / verification
-    # ------------------------------------------------------------------
 
     @classmethod
     def load(cls, path: str | os.PathLike, strict: bool = False) -> "Journal":
@@ -123,125 +97,42 @@ class Journal:
         verify`` behaviour.
         """
         journal = cls(path)
-        if not os.path.exists(journal.path):
-            return journal
-        # errors="replace": an undecodable byte fails the record's JSON
-        # parse or checksum and ends the trusted prefix like any tear.
-        with open(
-            journal.path, "r", encoding="utf-8", errors="replace", newline=""
-        ) as fh:
-            text = fh.read()
-        trusted_bytes = 0
-        clean = True
-        for lineno, raw in enumerate(text.splitlines(keepends=True), start=1):
-            line = raw.strip()
-            if not line:
-                trusted_bytes += len(raw.encode("utf-8"))
-                continue
-            bad: str | None = None
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                bad = "is not valid JSON (torn write?)"
-            else:
-                rec = JournalRecord(doc)
-                if not rec.intact():
-                    bad = "fails its sha256 checksum"
-                elif rec.get("type") not in RECORD_TYPES:
-                    bad = f"has unknown type {rec.get('type')!r}"
-                elif rec.get("v") not in RECORD_VERSIONS:
-                    bad = f"has unsupported version {rec.get('v')!r}"
-            if bad is None and not raw.endswith("\n"):
-                # A record that parses but lacks its newline is still a
-                # torn append: trusting it would make the next appended
-                # line run into it.
-                bad = "is missing its trailing newline (torn write?)"
-            if bad is not None:
-                if strict:
-                    raise CampaignCorruptError(
-                        f"{journal.path}:{lineno}: record {bad}"
-                    )
-                journal.dropped_tail = sum(
-                    1
-                    for l in text.splitlines(keepends=True)[lineno - 1 :]
-                    if l.strip()
-                )
-                clean = False
-                break
-            journal._records.append(rec)
-            trusted_bytes += len(raw.encode("utf-8"))
-        if clean:
-            journal._synced_bytes = trusted_bytes
+        scan = journal._log.read()
+        if strict and scan.reason is not None:
+            raise CampaignCorruptError(
+                f"{journal.path}:{scan.bad_line}: record {scan.reason}"
+            )
+        journal._records = scan.records
+        journal.dropped_tail = scan.dropped
         return journal
 
     @property
-    def records(self) -> list[JournalRecord]:
+    def records(self) -> list[dict]:
         return list(self._records)
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def of_type(self, record_type: str) -> list[JournalRecord]:
+    def of_type(self, record_type: str) -> list[dict]:
         return [r for r in self._records if r["type"] == record_type]
 
-    # ------------------------------------------------------------------
-    # writing
-    # ------------------------------------------------------------------
-
-    def append(self, record_type: str, **fields) -> JournalRecord:
+    def append(self, record_type: str, **fields) -> dict:
         """Seal a record and persist it with one fsync'd append.
 
-        When the on-disk file doesn't match the trusted prefix — first
-        write to a fresh directory, a recovered corrupt tail, or a
-        foreign file squatting on the path — the whole trusted journal
-        is first rewritten atomically (the v1 behaviour), after which
-        appends are O(1) again.
+        Raises :class:`ValueError` for a type the reader would reject.
         """
-        if record_type not in RECORD_TYPES:
-            raise ValueError(f"unknown journal record type {record_type!r}")
-        rec = JournalRecord.seal(
-            {"v": WRITE_VERSION, "type": record_type, **fields}
-        )
+        rec = self._log.append({"v": WRITE_VERSION, "type": record_type, **fields})
         self._records.append(rec)
-        line = rec.line()
-        if self._synced_bytes is not None and self._on_disk_bytes() == (
-            self._synced_bytes
-        ):
-            self._synced_bytes += fsync_append_text(self.path, line)
-        else:
-            self._flush()
         return rec
-
-    def _on_disk_bytes(self) -> int | None:
-        try:
-            return os.path.getsize(self.path)
-        except OSError:
-            return None
-
-    def _flush(self) -> None:
-        """Atomically rewrite the file from the trusted record list."""
-        text = "".join(rec.line() for rec in self._records)
-        atomic_write_text(self.path, text)
-        self._synced_bytes = len(text.encode("utf-8"))
-
-    # ------------------------------------------------------------------
-    # fault injection support
-    # ------------------------------------------------------------------
 
     def truncate_tail(self, keep_bytes_of_last: int = 20) -> None:
         """Tear the last record in half (the ``journal-truncate`` fault).
 
         Leaves the file ending mid-record, exactly what a power cut
-        during a non-atomic append would produce on real storage.
+        during a non-atomic append would produce on real storage.  The
+        next append finds the file shorter than it left it and heals.
         """
-        with open(self.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        lines = text.splitlines(keepends=True)
-        if not lines:
-            return
-        torn = lines[-1][:keep_bytes_of_last]
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write("".join(lines[:-1]) + torn)
-        # The disk no longer matches the trusted records; the next
-        # append must heal, not extend the torn line.
-        self._synced_bytes = None
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        start = data.rfind(b"\n", 0, len(data) - 1) + 1
+        os.truncate(self.path, min(len(data), start + keep_bytes_of_last))

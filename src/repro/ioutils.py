@@ -21,6 +21,23 @@ between.  The fault-injection subsystem hooks the same
 path via :func:`set_io_fault_gate` (the ``io-enospc`` campaign
 scenario), which is how the chaos suite proves journal and store bytes
 survive disk-pressure blips unchanged.
+
+**One record log.**  Six append-only NDJSON streams can be torn by a
+crash: the campaign ``journal.jsonl``, the memo-store ``index.jsonl``,
+the service ``queue.jsonl``, and the ``events.ndjson``,
+``live.ndjson`` and ``requests.ndjson`` telemetry streams.  Each is a
+:class:`RecordLog` over one reader (:func:`read_ndjson`) and one
+appender (:func:`fsync_append_text`).  A line is *intact* when it ends
+in ``\n``, decodes as JSON to an object, carries a matching
+``sha256`` seal if the stream is sealed, and passes the stream's own
+check; blank lines are skipped.  The reader keeps the longest intact
+prefix and names the first line it rejected and why.  Before it
+writes, the appender cuts every byte after the last intact record (a
+torn tail, foreign bytes), so a new line never lands glued to a torn
+one; it rescans the file only when the file's length is not the one
+the log last read or wrote.  The commit logs (journal, index, queue)
+fsync every append; the telemetry streams (events, live, requests)
+hand each line to the kernel in one write and never fsync.
 """
 
 from __future__ import annotations
@@ -30,7 +47,9 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import time
+from typing import Callable, NamedTuple
 
 try:
     import fcntl
@@ -44,9 +63,11 @@ __all__ = [
     "canonical_json",
     "fsync_append_text",
     "io_retry_count",
-    "read_sealed_ndjson",
+    "read_ndjson",
     "record_intact",
+    "RecordLog",
     "reset_io_retry_count",
+    "Scan",
     "seal_record",
     "set_io_fault_gate",
     "sha256_text",
@@ -154,33 +175,54 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     _retry_io("write", path, _attempt)
 
 
-def fsync_append_text(path: str | os.PathLike, text: str) -> int:
-    """Append *text* to *path* with an fsync; returns the bytes written.
+def fsync_append_text(
+    path: str | os.PathLike,
+    text: str,
+    *,
+    expect: int | None = None,
+    heal: Callable[[], int] | None = None,
+    sync: bool = True,
+) -> int:
+    """Append *text* to *path* with an fsync; returns the new file length.
 
     Unlike :func:`atomic_write_text` this is O(len(text)), not O(file):
     the write lands at the end of the existing content and only the new
     bytes hit the disk.  A crash mid-append can leave a *torn tail* — a
-    partial last line — which is why every appended record must carry
-    its own checksum and readers must tolerate (and quarantine) a
-    trailing record that fails it.  The containing directory is not
-    fsynced: the file itself already exists, so no directory entry
-    changes.
+    partial last line — which is why readers keep only the longest
+    intact prefix.  The containing directory is not fsynced: once the
+    file exists no directory entry changes.  A missing parent
+    directory is created.
+
+    With *heal* (a callable returning the byte length of the file's
+    intact prefix) the append first cuts whatever follows that prefix,
+    unless the file is still *expect* bytes long — the length the
+    caller last saw it intact at.  ``sync=False`` (the telemetry
+    streams) skips the fsync and, as a best-effort write, the fault
+    gate and the retry: the ``io-enospc`` drill keeps landing on the
+    commit logs and the store.
 
     Transient disk faults are retried; before each retry the file is
     truncated back to its pre-append length, so a partially landed
     attempt is never duplicated.  An exclusive ``flock`` is held for
-    the whole append-plus-retry sequence, so a concurrent appender (a
-    thread or another process sharing the journal) can never land a
+    the whole heal-append-retry sequence, so a concurrent appender (a
+    thread or another process sharing the stream) can never land a
     record inside the truncation window and have it destroyed — its
     append simply waits its turn.
     """
     path = os.fspath(path)
     data = text.encode("utf-8")
-    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+    try:
+        fd = os.open(path, flags, 0o644)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(path, flags, 0o644)
     try:
         if fcntl is not None:
             fcntl.flock(fd, fcntl.LOCK_EX)
         base = os.fstat(fd).st_size
+        if heal is not None and base != expect:
+            base = heal()
 
         def _attempt() -> int:
             if os.fstat(fd).st_size > base:
@@ -188,9 +230,12 @@ def fsync_append_text(path: str | os.PathLike, text: str) -> int:
             view = memoryview(data)
             while view:
                 view = view[os.write(fd, view):]
-            os.fsync(fd)
-            return len(data)
+            if sync:
+                os.fsync(fd)
+            return base + len(data)
 
+        if not sync:
+            return _attempt()
         return _retry_io("append", path, _attempt)
     finally:
         os.close(fd)
@@ -222,43 +267,134 @@ def record_intact(doc: dict) -> bool:
     return doc.get("sha256") == sha256_text(canonical_json(body))
 
 
-def read_sealed_ndjson(path: str | os.PathLike, accept=None) -> tuple[list[dict], int]:
-    """Decode a sealed-record NDJSON file, keeping the longest intact prefix.
+class Scan(NamedTuple):
+    """What :func:`read_ndjson` trusts of a stream."""
 
-    Returns ``(records, dropped)``.  The trusted prefix ends at the
-    first line that is torn (no trailing newline), not JSON, not a
-    sealed-intact object, or rejected by *accept*; that line and
-    everything after it count as *dropped*.  A writer mid-append can
-    therefore never expose a partial record to a concurrent reader —
-    the contract the torn-tail property suite enforces byte by byte.
-    A missing file reads as an empty stream.
+    records: list[dict]
+    #: Non-blank lines from the first rejected one to the end.
+    dropped: int
+    #: Byte length of the intact prefix.
+    trusted: int
+    #: 1-based number of the first rejected line, and why it was.
+    bad_line: int | None
+    reason: str | None
+
+
+def _fault(doc: object, check, sealed: bool) -> str | None:
+    """Why decoded line *doc* is not an intact record, or ``None``."""
+    if not isinstance(doc, dict):
+        return "is not a JSON object"
+    if sealed and not record_intact(doc):
+        return "fails its sha256 checksum"
+    try:
+        check(doc)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def read_ndjson(path: str | os.PathLike, check, sealed: bool = False) -> Scan:
+    """Decode an NDJSON stream, keeping the longest intact prefix.
+
+    The prefix ends at the first non-blank line that is not valid JSON,
+    not an object, (when *sealed*) fails its ``sha256``, makes
+    ``check(record)`` raise :class:`ValueError`, or lacks its trailing
+    newline; that line and every line after it are dropped.  A writer
+    mid-append can therefore never expose a partial record to a
+    concurrent reader.  A missing file reads as an empty stream.
     """
-    path = os.fspath(path)
-    if not os.path.exists(path):
-        return [], 0
-    # errors="replace": undecodable bytes fail json.loads and end the
-    # trusted prefix rather than raising out of the reader.
-    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
-        raw_lines = fh.read().splitlines(keepends=True)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return Scan([], 0, 0, None, None)
+    lines = data.split(b"\n")
+    last = len(lines) - 1
     records: list[dict] = []
-    for lineno, raw in enumerate(raw_lines):
-        line = raw.strip()
-        if not line:
-            continue
-        if not raw.endswith("\n"):
-            break
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError:
-            break
-        if not isinstance(doc, dict) or not record_intact(doc):
-            break
-        if accept is not None and not accept(doc):
-            break
-        records.append(doc)
-    else:
-        return records, 0
-    return records, sum(1 for l in raw_lines[lineno:] if l.strip())
+    trusted = 0
+    for index, raw in enumerate(lines):
+        if raw.strip():
+            try:
+                # An undecodable byte becomes U+FFFD: it breaks the JSON
+                # or, inside a string, the seal.
+                doc = json.loads(raw.decode("utf-8", errors="replace"))
+            except (ValueError, RecursionError):
+                reason = "is not valid JSON (torn write?)"
+            else:
+                reason = _fault(doc, check, sealed)
+            if reason is None and index == last:
+                reason = "is missing its trailing newline (torn write?)"
+            if reason is not None:
+                dropped = sum(1 for line in lines[index:] if line.strip())
+                return Scan(records, dropped, trusted, index + 1, reason)
+            records.append(doc)
+        if index < last:
+            trusted += len(raw) + 1
+    return Scan(records, 0, trusted, None, None)
+
+
+class RecordLog:
+    """One append-only NDJSON stream: the shared reader and healing appender.
+
+    *check* raises :class:`ValueError` on a record that does not belong
+    to the stream; it guards both directions, so the log never writes a
+    record its reader would reject.  A *sealed* log stamps each record
+    with :func:`seal_record` and trusts only intact seals; a *durable*
+    log fsyncs every append.
+    """
+
+    def __init__(
+        self,
+        path: str | os.PathLike,
+        check,
+        *,
+        sealed: bool = False,
+        durable: bool = True,
+    ) -> None:
+        self.path = os.fspath(path)
+        self.check = check
+        self.sealed = sealed
+        self.durable = durable
+        # The file length this log last saw holding exactly its intact
+        # prefix; ``None`` until the first read or append.  While the
+        # disk still says so, an append needs no rescan.  A stale value
+        # only costs one.
+        self._end: int | None = None
+        self._lock = threading.Lock()
+
+    def read(self) -> Scan:
+        scan = read_ndjson(self.path, self.check, self.sealed)
+        self._end = scan.trusted
+        return scan
+
+    def _trusted(self) -> int:
+        return read_ndjson(self.path, self.check, self.sealed).trusted
+
+    def _line(self, record: dict) -> tuple[dict, str]:
+        if self.sealed:
+            record = seal_record(record)
+        self.check(record)
+        return record, json.dumps(record, sort_keys=True) + "\n"
+
+    def append(self, record: dict) -> dict:
+        """Check (and seal) *record*, then append it; returns what was written."""
+        record, line = self._line(record)
+        with self._lock:
+            self._end = fsync_append_text(
+                self.path,
+                line,
+                expect=self._end,
+                heal=self._trusted,
+                sync=self.durable,
+            )
+        return record
+
+    def rewrite(self, records) -> None:
+        """Replace the whole stream with *records* in one atomic write."""
+        text = "".join(self._line(record)[1] for record in records)
+        with self._lock:
+            atomic_write_text(self.path, text)
+            self._end = len(text.encode("utf-8"))
 
 
 def sha256_text(text: str) -> str:

@@ -17,16 +17,19 @@ Two append-only streams live next to the campaign journal:
 
 Every record is one JSON object per line with ``v`` (schema version)
 and ``type``; :func:`validate_event` checks a record against the typed
-schema and is what the CI smoke job runs over the whole stream.
-Readers tolerate a torn last line (the writer appends without an
-atomic rename), mirroring the journal's torn-tail recovery.
+schema and is what the CI smoke job runs over the whole stream.  Both
+streams are :class:`~repro.ioutils.RecordLog` instances checked by it: a
+reader keeps the longest prefix of whole, valid lines, and the next
+writer cuts a torn or foreign tail before it appends — the journal's
+torn-tail recovery, without the fsync.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
+
+from ..ioutils import RecordLog, read_ndjson
 
 __all__ = [
     "DETERMINISTIC_EVENTS",
@@ -121,6 +124,8 @@ def validate_event(record: object) -> str:
     if record.get("v") != EVENT_SCHEMA_VERSION:
         raise ValueError(f"unsupported event schema version {record.get('v')!r}")
     etype = record.get("type")
+    if not isinstance(etype, str):
+        raise ValueError(f"event type is not a string: {etype!r}")
     if etype in DETERMINISTIC_EVENTS:
         fields = DETERMINISTIC_EVENTS[etype]
         envelope = {"seq": int, "sim_us": (int, float)}
@@ -145,30 +150,13 @@ def validate_event(record: object) -> str:
 
 
 def read_events(path: str | os.PathLike) -> list[dict]:
-    """Decode an NDJSON event stream, tolerating a torn last line.
+    """The longest prefix of whole, schema-valid records of a stream.
 
     A missing file reads as an empty stream (older run directories have
     no event streams; a watch attached before the first commit sees no
-    events yet).  Any undecodable line ends the trusted prefix.
+    events yet).
     """
-    path = os.fspath(path)
-    if not os.path.exists(path):
-        return []
-    records: list[dict] = []
-    # errors="replace": undecodable bytes (a torn multi-byte character,
-    # foreign garbage) become U+FFFD, fail json.loads, and end the
-    # trusted prefix instead of raising out of the reader.
-    with open(path, "r", encoding="utf-8", errors="replace", newline="") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or not raw.endswith("\n"):
-                break
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                break
-            records.append(doc)
-    return records
+    return read_ndjson(path, validate_event).records
 
 
 class EventBus:
@@ -200,23 +188,18 @@ class EventBus:
         self.live_context = dict(live_context) if live_context else {}
         self.events_path = os.path.join(self.directory, EVENTS_FILE)
         self.live_path = os.path.join(self.directory, LIVE_FILE)
+        self._events = RecordLog(self.events_path, validate_event, durable=False)
+        self._live = RecordLog(self.live_path, validate_event, durable=False)
         self._seq: int | None = None  # scanned lazily on first emit
 
     # ------------------------------------------------------------------
 
     def _next_seq(self) -> int:
         if self._seq is None:
-            existing = read_events(self.events_path)
+            existing = self._events.read().records
             self._seq = existing[-1]["seq"] + 1 if existing else 0
         seq, self._seq = self._seq, self._seq + 1
         return seq
-
-    def _append(self, path: str, record: dict) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with open(path, "a", encoding="utf-8", newline="") as fh:
-            fh.write(line)
-            fh.flush()
 
     # ------------------------------------------------------------------
 
@@ -233,9 +216,7 @@ class EventBus:
             "sim_us": float(sim_us),
             **fields,
         }
-        validate_event(record)
-        self._append(self.events_path, record)
-        return record
+        return self._events.append(record)
 
     def live(self, etype: str, **fields) -> dict | None:
         """Publish one live record (wall-clock worker telemetry)."""
@@ -250,14 +231,12 @@ class EventBus:
             **self.live_context,
             **fields,
         }
-        validate_event(record)
-        self._append(self.live_path, record)
-        return record
+        return self._live.append(record)
 
     # ------------------------------------------------------------------
 
     def deterministic_records(self) -> list[dict]:
-        return read_events(self.events_path)
+        return self._events.read().records
 
     def live_records(self) -> list[dict]:
-        return read_events(self.live_path)
+        return self._live.read().records

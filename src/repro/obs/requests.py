@@ -16,10 +16,10 @@ demands it:
 * **Request lifecycle stream** — ``requests.ndjson`` in the service
   state directory: one schema-validated record per terminal request
   (phase spans: parse, admission, queue, cache, execute, serialize) or
-  shed.  Same discipline as :mod:`.events`: append-only NDJSON, a
-  torn-tail-tolerant reader (:func:`read_requests`), and a validator
-  (:func:`validate_request_record`) the CI smoke job runs over the
-  whole stream.
+  shed.  Same discipline as :mod:`.events`: an unsynced
+  :class:`~repro.ioutils.RecordLog` checked by
+  :func:`validate_request_record`, the validator the CI smoke job runs
+  over the whole stream.
 * **RED / SLO** — folding helpers that turn span records into
   per-tenant/per-endpoint rate/error/duration metrics
   (:func:`register_red_metrics` / :func:`record_span_metrics` /
@@ -35,15 +35,14 @@ demands it:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 
+from ..ioutils import RecordLog, read_ndjson
 from ..telemetry.metrics import MetricsRegistry
-from .events import read_events
 
 __all__ = [
     "LATENCY_BUCKETS_S",
@@ -193,7 +192,7 @@ def validate_request_record(record: object) -> str:
             f"unsupported request schema version {record.get('v')!r}"
         )
     rtype = record.get("type")
-    if rtype not in REQUEST_EVENTS:
+    if not isinstance(rtype, str) or rtype not in REQUEST_EVENTS:
         raise ValueError(f"unknown request record type {rtype!r}")
     fields = REQUEST_EVENTS[rtype]
     for key, expected in {"ts": (int, float), **fields}.items():
@@ -218,56 +217,32 @@ def validate_request_record(record: object) -> str:
 
 
 def read_requests(path: str | os.PathLike) -> list[dict]:
-    """Decode a request stream, tolerating a torn tail.
-
-    Same contract as :func:`repro.obs.events.read_events` — the longest
-    intact prefix of wholly-written lines — with one addition: a
-    decodable line that fails schema validation also ends the trusted
-    prefix (foreign bytes that happen to be JSON are still foreign).
-    """
-    records: list[dict] = []
-    for record in read_events(path):
-        try:
-            validate_request_record(record)
-        except ValueError:
-            break
-        records.append(record)
-    return records
+    """The longest prefix of whole, schema-valid records of a request
+    stream (foreign bytes that happen to be JSON are still foreign)."""
+    return read_ndjson(path, validate_request_record).records
 
 
 class RequestLog:
     """Appender for the request lifecycle stream.
 
-    Append-only buffered line writes with an explicit flush, exactly
-    like the live event stream: a concurrent board sees whole lines
-    promptly and a crash tears at most the final line, which
-    :func:`read_requests` tolerates.  Thread-safe — executor threads
-    finish requests concurrently.
+    An unsynced :class:`~repro.ioutils.RecordLog`, exactly like the live
+    event stream: a concurrent board sees whole lines promptly, a crash
+    tears at most the final line, and the next append cuts it away.
+    Thread-safe — executor threads finish requests concurrently.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = os.fspath(directory)
         self.path = os.path.join(self.directory, REQUESTS_FILE)
-        self._lock = threading.Lock()
+        self._log = RecordLog(self.path, validate_request_record, durable=False)
 
     def append(self, rtype: str, **fields) -> dict:
-        record = {
-            "v": REQUEST_SCHEMA_VERSION,
-            "type": rtype,
-            "ts": time.time(),
-            **fields,
-        }
-        validate_request_record(record)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with self._lock:
-            os.makedirs(self.directory, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8", newline="") as fh:
-                fh.write(line)
-                fh.flush()
-        return record
+        return self._log.append(
+            {"v": REQUEST_SCHEMA_VERSION, "type": rtype, "ts": time.time(), **fields}
+        )
 
     def records(self) -> list[dict]:
-        return read_requests(self.path)
+        return self._log.read().records
 
 
 # ----------------------------------------------------------------------

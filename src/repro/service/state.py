@@ -16,10 +16,11 @@ The **queue journal** is the write-ahead log of the admission queue:
 persisted.  Recovery is a replay: every accepted-but-not-done request
 re-enters the executor queue on restart, in acceptance order — which
 is exactly what makes a mid-request SIGKILL invisible to a retrying
-client.  Records are sealed with the shared checksum scheme and the
-reader tolerates a torn tail, so a crash mid-append costs at most the
-record being appended (whose request the client will retry, and whose
-side effects are idempotent).
+client.  The journal is a sealed :class:`~repro.ioutils.RecordLog`:
+the reader keeps the longest intact prefix and the next append cuts a
+torn tail, so a crash mid-append costs at most the record being
+appended (whose request the client will retry, and whose side effects
+are idempotent).
 
 **Idempotency** is two-layered:
 
@@ -38,15 +39,8 @@ import json
 import math
 import os
 import re
-import threading
 
-from ..ioutils import (
-    atomic_write_json,
-    atomic_write_text,
-    fsync_append_text,
-    read_sealed_ndjson,
-    seal_record,
-)
+from ..ioutils import RecordLog, atomic_write_json
 from ..sim.memo import content_digest
 from ..sim.memostore import MemoStore
 
@@ -64,12 +58,13 @@ REQUEST_KINDS = ("bench", "campaign")
 _SAFE = re.compile(r"[^A-Za-z0-9._-]")
 
 
-def _valid_queue_record(doc: dict) -> bool:
-    return (
+def _check_queue_record(doc: dict) -> None:
+    if not (
         doc.get("v") == QUEUE_VERSION
         and doc.get("op") in QUEUE_OPS
         and isinstance(doc.get("request_id"), str)
-    )
+    ):
+        raise ValueError("is not a queue record")
 
 
 def _coerce(value, convert, field: str, default):
@@ -145,7 +140,7 @@ class ServiceState:
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = os.fspath(root)
         os.makedirs(self.requests_dir, exist_ok=True)
-        self._lock = threading.Lock()
+        self._queue = RecordLog(self.queue_path, _check_queue_record, sealed=True)
         self.cache = MemoStore(self.cache_dir)
 
     # ------------------------------------------------------------------
@@ -188,7 +183,7 @@ class ServiceState:
     # ------------------------------------------------------------------
 
     def journal_accepted(self, request_id: str, tenant: str, body: dict) -> None:
-        self._append(
+        self._queue.append(
             {
                 "v": QUEUE_VERSION,
                 "op": "accepted",
@@ -199,7 +194,7 @@ class ServiceState:
         )
 
     def journal_done(self, request_id: str, status: str, digest: str) -> None:
-        self._append(
+        self._queue.append(
             {
                 "v": QUEUE_VERSION,
                 "op": "done",
@@ -209,15 +204,8 @@ class ServiceState:
             }
         )
 
-    def _append(self, body: dict) -> None:
-        rec = seal_record(body)
-        with self._lock:
-            fsync_append_text(
-                self.queue_path, json.dumps(rec, sort_keys=True) + "\n"
-            )
-
     def read_queue(self) -> tuple[list[dict], int]:
-        return read_sealed_ndjson(self.queue_path, accept=_valid_queue_record)
+        return self._queue.read()[:2]
 
     # ------------------------------------------------------------------
     # terminal records
@@ -265,18 +253,7 @@ class ServiceState:
             if (self.load_record(item["request_id"]) or {}).get("status")
             not in ("done", "failed")
         ]
-        with self._lock:
-            lines = []
-            for item in survivors:
-                rec = seal_record(
-                    {
-                        "v": QUEUE_VERSION,
-                        "op": "accepted",
-                        "request_id": item["request_id"],
-                        "tenant": item["tenant"],
-                        "request": item["request"],
-                    }
-                )
-                lines.append(json.dumps(rec, sort_keys=True) + "\n")
-            atomic_write_text(self.queue_path, "".join(lines))
+        self._queue.rewrite(
+            {"v": QUEUE_VERSION, "op": "accepted", **item} for item in survivors
+        )
         return survivors

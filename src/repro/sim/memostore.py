@@ -19,7 +19,8 @@ Robustness properties:
 
 * **Atomic two-phase writes** — every object lands via
   :func:`repro.ioutils.atomic_write_json` (temp file + fsync +
-  ``os.replace``), then the index journal records it with one fsync'd
+  ``os.replace``), then the index journal (a sealed
+  :class:`~repro.ioutils.RecordLog`) records it with one fsync'd
   append.  A crash between the phases leaves an orphan object that the
   next index rebuild re-adopts; a crash mid-append leaves a torn index
   tail that the reader drops, backed by the objects on disk.
@@ -45,9 +46,10 @@ entry points take an in-process lock, and cross-process sharing is
 safe because objects are content-addressed (two writers racing on one
 key write identical bytes) and the index is append-only with
 self-checksummed records — appends (including the ENOSPC-retry
-truncation window) are serialized under the exclusive file lock
-:func:`repro.ioutils.fsync_append_text` holds, so one writer's retry
-can never clobber another's committed record.  Even a lost index
+truncation window and the torn-tail cut) are serialized under the
+exclusive file lock :func:`repro.ioutils.fsync_append_text` holds, so
+one writer's retry or heal can never clobber another's committed
+record.  Even a lost index
 record only costs recency: the objects on disk are the truth and the
 next index rebuild re-adopts them.
 """
@@ -59,10 +61,9 @@ import os
 import threading
 
 from ..ioutils import (
+    RecordLog,
     atomic_write_json,
-    atomic_write_text,
-    fsync_append_text,
-    read_sealed_ndjson,
+    read_ndjson,
     record_intact,
     seal_record,
 )
@@ -84,24 +85,18 @@ INDEX_OPS = ("put", "touch", "evict", "quarantine")
 _COMPACT_FACTOR = 8
 
 
-def _valid_index_record(doc: dict) -> bool:
-    return (
+def _check_index_record(doc: dict) -> None:
+    if not (
         doc.get("v") == INDEX_VERSION
         and doc.get("op") in INDEX_OPS
         and isinstance(doc.get("key"), str)
-    )
+    ):
+        raise ValueError("is not an index record")
 
 
 def read_index(path: str | os.PathLike) -> tuple[list[dict], int]:
-    """Decode an index journal, keeping the longest intact prefix.
-
-    Returns ``(records, dropped)`` where *dropped* counts trailing
-    lines rejected for torn writes, checksum failures, or unknown
-    shapes — the same torn-tail contract as the campaign journal, so a
-    reader tailing the index while a writer is mid-append never sees a
-    partial record.
-    """
-    return read_sealed_ndjson(path, accept=_valid_index_record)
+    """``(records, dropped)``: the index journal's longest intact prefix."""
+    return read_ndjson(path, _check_index_record, sealed=True)[:2]
 
 
 class MemoStore:
@@ -128,6 +123,7 @@ class MemoStore:
         #: key -> True, in LRU order (oldest first).  Rebuilt from the
         #: index journal, reconciled against the objects on disk.
         self._lru: dict[str, bool] = {}
+        self._index = RecordLog(self.index_path, _check_index_record, sealed=True)
         self._index_records = 0
         os.makedirs(self.objects_dir, exist_ok=True)
         self._recover()
@@ -175,10 +171,10 @@ class MemoStore:
         in sorted order ahead of journalled recency; index entries
         whose object vanished are dropped.
         """
-        records, _dropped = read_index(self.index_path)
+        scan = self._index.read()
         on_disk = self._scan_objects()
         lru: dict[str, bool] = {}
-        for rec in records:
+        for rec in scan.records:
             key = rec["key"]
             if rec["op"] in ("put", "touch"):
                 lru.pop(key, None)
@@ -187,16 +183,15 @@ class MemoStore:
                 lru.pop(key, None)
         self._lru = {k: True for k in sorted(on_disk - set(lru))}
         self._lru.update({k: True for k in lru if k in on_disk})
-        self._index_records = len(records)
-        if len(self._lru) != len(lru) or _dropped:
+        self._index_records = len(scan.records)
+        if len(self._lru) != len(lru) or scan.dropped:
             # The journal disagreed with the disk (orphans, stale
             # entries, torn tail): rewrite it to match reality once,
             # atomically, then go back to O(1) appends.
             self._compact()
 
     def _append_index(self, op: str, key: str) -> None:
-        rec = seal_record({"v": INDEX_VERSION, "op": op, "key": key})
-        fsync_append_text(self.index_path, json.dumps(rec, sort_keys=True) + "\n")
+        self._index.append({"v": INDEX_VERSION, "op": op, "key": key})
         self._index_records += 1
         if self._index_records > max(_COMPACT_FACTOR * len(self._lru),
                                      _COMPACT_FACTOR):
@@ -204,12 +199,10 @@ class MemoStore:
 
     def _compact(self) -> None:
         """One atomic rewrite: a ``put`` record per live entry, in LRU order."""
-        lines = []
-        for key in self._lru:
-            rec = seal_record({"v": INDEX_VERSION, "op": "put", "key": key})
-            lines.append(json.dumps(rec, sort_keys=True) + "\n")
-        atomic_write_text(self.index_path, "".join(lines))
-        self._index_records = len(lines)
+        self._index.rewrite(
+            {"v": INDEX_VERSION, "op": "put", "key": key} for key in self._lru
+        )
+        self._index_records = len(self._lru)
 
     # ------------------------------------------------------------------
     # read / write

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-import repro.campaign.journal as journal_mod
-from repro.campaign.journal import WRITE_VERSION, Journal, JournalRecord
+import repro.ioutils as ioutils
+from repro.campaign.journal import WRITE_VERSION, Journal
 from repro.errors import CampaignCorruptError
+from repro.ioutils import record_intact, seal_record
 
 
 @pytest.fixture
@@ -16,18 +17,18 @@ def path(tmp_path):
 
 class TestRecordIntegrity:
     def test_sealed_record_is_intact(self):
-        rec = JournalRecord.seal({"v": 1, "type": "unit-start", "unit": "x"})
-        assert rec.intact()
+        rec = seal_record({"v": 1, "type": "unit-start", "unit": "x"})
+        assert record_intact(rec)
         assert len(rec["sha256"]) == 64
 
     def test_tampered_record_detected(self):
-        rec = JournalRecord.seal({"v": 1, "type": "unit-start", "unit": "x"})
+        rec = seal_record({"v": 1, "type": "unit-start", "unit": "x"})
         rec["unit"] = "y"
-        assert not rec.intact()
+        assert not record_intact(rec)
 
     def test_checksum_excludes_itself(self):
-        rec = JournalRecord.seal({"v": 1, "type": "resume"})
-        resealed = JournalRecord.seal(dict(rec))
+        rec = seal_record({"v": 1, "type": "resume"})
+        resealed = seal_record(dict(rec))
         assert resealed["sha256"] == rec["sha256"]
 
 
@@ -187,20 +188,32 @@ class TestFormatV2:
     """The O(1)-append format: fsync'd lines, versioned records."""
 
     def _counting(self, monkeypatch):
-        calls = {"rewrites": 0, "appends": 0}
-        real_write = journal_mod.atomic_write_text
-        real_append = journal_mod.fsync_append_text
+        """Count whole-file rewrites, heals (an append that first
+        rescans the file and cuts what follows its intact prefix) and
+        plain O(1) appends."""
+        calls = {"rewrites": 0, "heals": 0, "appends": 0}
+        real_write = ioutils.atomic_write_text
+        real_append = ioutils.fsync_append_text
+        real_heal = ioutils.RecordLog._trusted
 
         def counting_write(*args, **kwargs):
             calls["rewrites"] += 1
             return real_write(*args, **kwargs)
 
-        def counting_append(*args, **kwargs):
-            calls["appends"] += 1
-            return real_append(*args, **kwargs)
+        def counting_heal(self):
+            calls["heals"] += 1
+            return real_heal(self)
 
-        monkeypatch.setattr(journal_mod, "atomic_write_text", counting_write)
-        monkeypatch.setattr(journal_mod, "fsync_append_text", counting_append)
+        def counting_append(*args, **kwargs):
+            heals = calls["heals"]
+            result = real_append(*args, **kwargs)
+            if calls["heals"] == heals:
+                calls["appends"] += 1
+            return result
+
+        monkeypatch.setattr(ioutils, "atomic_write_text", counting_write)
+        monkeypatch.setattr(ioutils, "fsync_append_text", counting_append)
+        monkeypatch.setattr(ioutils.RecordLog, "_trusted", counting_heal)
         return calls
 
     def test_appends_are_o1_after_the_first(self, path, monkeypatch):
@@ -209,10 +222,9 @@ class TestFormatV2:
         for i in range(20):
             j.append("unit-start", unit=f"u{i}")
         # A fresh Journal doesn't know the disk state, so the first
-        # append pays one atomic rewrite; every later record is one
-        # fsync'd append — the whole file is never rewritten again.
-        assert calls["rewrites"] == 1
-        assert calls["appends"] == 19
+        # append pays one heal; every later record is one fsync'd
+        # append — the whole file is never rescanned or rewritten.
+        assert calls == {"rewrites": 0, "heals": 1, "appends": 19}
 
     def test_loaded_clean_journal_never_rewrites(self, path, monkeypatch):
         j = Journal(path)
@@ -221,7 +233,7 @@ class TestFormatV2:
         calls = self._counting(monkeypatch)
         loaded = Journal.load(path)
         loaded.append("resume", skipped=[], rerun=[])
-        assert calls == {"rewrites": 0, "appends": 1}
+        assert calls == {"rewrites": 0, "heals": 0, "appends": 1}
 
     def test_heal_after_torn_tail_then_back_to_o1(self, path, monkeypatch):
         j = Journal(path)
@@ -232,8 +244,8 @@ class TestFormatV2:
         recovered = Journal.load(path)
         recovered.append("resume", skipped=[], rerun=["u2"])
         recovered.append("unit-start", unit="u2")
-        # One healing rewrite for the torn tail, then O(1) appends again.
-        assert calls == {"rewrites": 1, "appends": 1}
+        # One heal for the torn tail, then O(1) appends again.
+        assert calls == {"rewrites": 0, "heals": 1, "appends": 1}
         Journal.load(path, strict=True)
 
     def test_foreign_bytes_on_disk_trigger_a_heal(self, path):
@@ -253,7 +265,7 @@ class TestFormatV2:
     def _write_raw(self, path, docs):
         with open(path, "w", encoding="utf-8") as fh:
             for doc in docs:
-                fh.write(JournalRecord.seal(doc).line())
+                fh.write(json.dumps(seal_record(doc), sort_keys=True) + "\n")
 
     def test_v1_journals_still_load(self, path):
         self._write_raw(

@@ -2,6 +2,7 @@
 
 import errno
 import os
+import sys
 import threading
 import time
 
@@ -10,9 +11,11 @@ import pytest
 import repro.ioutils as ioutils
 from repro.ioutils import (
     IO_RETRY_ATTEMPTS,
+    RecordLog,
     atomic_write_text,
     fsync_append_text,
     io_retry_count,
+    read_ndjson,
     reset_io_retry_count,
     set_io_fault_gate,
 )
@@ -141,6 +144,46 @@ class TestNoTornBytes:
             atomic_write_text(path, "x")
         set_io_fault_gate(None)
         assert os.listdir(tmp_path) == []
+
+
+def _check_n(doc):
+    if not isinstance(doc.get("n"), int):
+        raise ValueError("has no integer n")
+
+
+class TestRecordLogConcurrency:
+    def test_healing_never_cuts_a_sibling_appenders_record(self, tmp_path):
+        # Two logs on one file (a sibling process's writer) and more
+        # threads than cores: each log's cached length goes stale under
+        # the other's appends, and every heal must rescan and keep
+        # the sibling's intact records.
+        path = tmp_path / "log.ndjson"
+        logs = [RecordLog(path, _check_n, durable=False) for _ in range(2)]
+        per_thread = 50
+
+        def writer(log, base):
+            for i in range(per_thread):
+                log.append({"n": base + i})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(logs[k % 2], k * 1000))
+                for k in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        scan = read_ndjson(path, _check_n)
+        assert scan.dropped == 0 and scan.trusted == os.path.getsize(path)
+        assert sorted(r["n"] for r in scan.records) == sorted(
+            k * 1000 + i for k in range(6) for i in range(per_thread)
+        )
 
 
 class TestBackoffAndGateProtocol:

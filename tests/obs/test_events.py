@@ -177,6 +177,8 @@ class TestEventBus:
         # A bus over the torn stream resumes after the trusted prefix.
         rec = EventBus(tmp_path).emit("campaign-done", sim_us=2.0, exit=0)
         assert rec["seq"] == 1
+        # ...and cuts the torn bytes first, so the new record is whole.
+        assert [r["seq"] for r in read_events(path)] == [0, 1]
 
     def test_missing_stream_reads_empty(self, tmp_path):
         assert read_events(tmp_path / "events.ndjson") == []

@@ -8,8 +8,12 @@ alone.
 """
 
 import io
+import time
+import types
 
 import pytest
+
+import repro.obs.watch as watch_mod
 
 from repro.campaign.orchestrator import Orchestrator
 from repro.campaign.spec import get_spec
@@ -68,6 +72,33 @@ class TestCompletedRun:
     def test_missing_journal_raises(self, tmp_path):
         with pytest.raises(CampaignError):
             load_snapshot(tmp_path)
+
+
+class TestForeignLines:
+    """Lines that are JSON but not events end the trusted prefix: the
+    board and the export show the run as it was, instead of crashing."""
+
+    def test_watch_and_export_ignore_foreign_lines(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            watch_mod,
+            "time",
+            types.SimpleNamespace(time=lambda: 2_000_000_000.0, sleep=time.sleep),
+        )
+        run = tmp_path / "run"
+        _run(run)
+
+        def printed():
+            assert main(["campaign", "watch", str(run), "--once"]) == 0
+            board = capsys.readouterr().out
+            assert main(["obs", "export", str(run)]) == 0
+            return board, capsys.readouterr().out
+
+        untouched = printed()
+        with open(run / "events.ndjson", "a", encoding="utf-8") as fh:
+            fh.write('[1]\n{"seq": "x"}\n')
+        assert printed() == untouched
 
 
 class TestCrashedRun:

@@ -14,21 +14,35 @@ representative stream, is:
   write: the dropped-tail count matches what was cut.
 
 This is the byte-level generalisation of the line-level torn-tail
-tests the journal already has, and it covers the three readers the
-service daemon depends on: the live event stream, the memostore index
-journal, and the service queue journal.
+tests the journal already has.  :class:`TestChopThenAppend` extends it
+to the writers of all six streams: after a chop at any byte, one
+append through the stream's own writer must leave the intact prefix
+plus the new record — never a line glued onto a torn one.
 """
 
 import json
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ioutils import seal_record
-from repro.obs.events import EVENT_SCHEMA_VERSION, EventBus, read_events
+import repro.campaign.journal as journal_mod
+import repro.service.state as state_mod
+import repro.sim.memostore as memostore_mod
+
+from repro.campaign.journal import Journal
+from repro.ioutils import RecordLog, read_ndjson, record_intact, seal_record
+from repro.obs.events import (
+    EVENT_SCHEMA_VERSION,
+    EventBus,
+    read_events,
+    validate_event,
+)
 from repro.sim.memo import content_digest
 from repro.sim.memostore import INDEX_VERSION, MemoStore, read_index
-from repro.obs.requests import RequestLog, read_requests
-from repro.service.state import QUEUE_VERSION, ServiceState
+from repro.obs.requests import RequestLog, read_requests, validate_request_record
+from repro.service.state import QUEUE_VERSION, ServiceState, normalize_request
 
 
 def _chop_points(data: bytes) -> range:
@@ -225,3 +239,254 @@ class TestQueueJournalChopSweep:
         first = [s["request_id"] for s in state.recover()]
         second = [s["request_id"] for s in state.recover()]
         assert first == second == ["r-0", "r-1", "r-2"]
+
+
+# ----------------------------------------------------------------------
+# chop, then append through the stream's own writer
+# ----------------------------------------------------------------------
+
+
+def _shed(log, index):
+    return log.append(
+        "request-shed",
+        trace_id=f"{index:032x}",
+        request=f"r-{index}",
+        tenant="t",
+        endpoint="bench:table4",
+        reason="tenant-rate",
+    )
+
+
+_KEYS = [content_digest(("k", i)) for i in range(3)]
+_BODY = {"kind": "bench", "command": "table4"}
+
+
+class _Journal:
+    def seed(self, d):
+        j = Journal(d / "journal.jsonl")
+        j.append("campaign-start", spec="smoke", seed=0)
+        j.append("unit-start", unit="a")
+        j.append("unit-done", unit="a", digest="d" * 64, status="OK")
+        return j.path
+
+    def open(self, d):
+        return Journal.load(d / "journal.jsonl")
+
+    def append(self, writer):
+        return writer.append("resume", skipped=["a"], rerun=[])
+
+    def read(self, path):
+        return Journal.load(path, strict=True).records
+
+
+class _Index:
+    def seed(self, d):
+        store = MemoStore(d / "cache")
+        for i, key in enumerate(_KEYS):
+            store.put(key, {"i": i})
+        return store.index_path
+
+    def open(self, d):
+        return MemoStore(d / "cache")
+
+    def append(self, writer):
+        assert writer.get(_KEYS[0]) == {"i": 0}
+        return seal_record({"v": INDEX_VERSION, "op": "touch", "key": _KEYS[0]})
+
+    def read(self, path):
+        return read_index(path)[0]
+
+
+class _Queue:
+    def seed(self, d):
+        state = ServiceState(d / "svc")
+        body = normalize_request(_BODY)
+        state.journal_accepted("r-0", "t", body)
+        state.journal_accepted("r-1", "t", body)
+        state.journal_done("r-0", "done", "d" * 64)
+        return state.queue_path
+
+    def open(self, d):
+        return ServiceState(d / "svc")
+
+    def append(self, writer):
+        body = normalize_request(_BODY)
+        writer.journal_accepted("r-new", "t", body)
+        return seal_record(
+            {"v": QUEUE_VERSION, "op": "accepted", "request_id": "r-new",
+             "tenant": "t", "request": body}
+        )
+
+    def read(self, path):
+        return ServiceState(os.path.dirname(path)).read_queue()[0]
+
+
+class _Events:
+    def seed(self, d):
+        bus = EventBus(d)
+        bus.emit("campaign-start", sim_us=0.0, spec="smoke", spec_digest="x",
+                 scenario=None, seed=0, units=1)
+        bus.emit("unit-committed", sim_us=1.0, unit="a", status="OK",
+                 digest="d" * 64, simulated_s=1e-6)
+        bus.emit("campaign-done", sim_us=1.0, exit=0)
+        return bus.events_path
+
+    def open(self, d):
+        return EventBus(d)
+
+    def append(self, writer):
+        return writer.emit("resume", sim_us=1.0, skipped=1, rerun=0)
+
+    def read(self, path):
+        return read_events(path)
+
+
+class _Live(_Events):
+    def seed(self, d):
+        bus = EventBus(d)
+        for index in range(3):
+            bus.live("unit-dispatched", unit=f"u{index}", index=index)
+        return bus.live_path
+
+    def append(self, writer):
+        return writer.live("pool-degraded")
+
+
+class _Requests:
+    def seed(self, d):
+        log = RequestLog(d)
+        for index in range(3):
+            _shed(log, index)
+        return log.path
+
+    def open(self, d):
+        return RequestLog(d)
+
+    def append(self, writer):
+        return _shed(writer, 99)
+
+    def read(self, path):
+        return read_requests(path)
+
+
+STREAMS = {
+    "journal": _Journal(),
+    "index": _Index(),
+    "queue": _Queue(),
+    "events": _Events(),
+    "live": _Live(),
+    "requests": _Requests(),
+}
+
+
+class TestChopThenAppend:
+    """A writer opened on the whole stream finds it cut at any byte (a
+    crashed sibling appender, a power cut): its next append must heal,
+    not extend the torn line."""
+
+    @pytest.mark.parametrize("name", sorted(STREAMS))
+    def test_every_chop_then_one_append(self, name, tmp_path):
+        stream = STREAMS[name]
+        path = stream.seed(tmp_path)
+        data = open(path, "rb").read()
+        full = stream.read(path)
+        assert len(full) == 3
+        for chop in _chop_points(data):
+            with open(path, "wb") as fh:
+                fh.write(data)
+            writer = stream.open(tmp_path)
+            with open(path, "wb") as fh:
+                fh.write(data[:chop])
+            new = stream.append(writer)
+            expected = full[: _intact_prefix_lines(data, chop)] + [new]
+            assert stream.read(path) == expected, f"chop at byte {chop}"
+
+
+# ----------------------------------------------------------------------
+# byte flips, duplicated and reordered lines
+# ----------------------------------------------------------------------
+
+#: Each stream's check and whether it is sealed: what its reader passes
+#: to the shared :func:`repro.ioutils.read_ndjson`.
+CHECKS = {
+    "journal": (journal_mod._check_record, True),
+    "index": (memostore_mod._check_index_record, True),
+    "queue": (state_mod._check_queue_record, True),
+    "events": (validate_event, False),
+    "live": (validate_event, False),
+    "requests": (validate_request_record, False),
+}
+
+#: Derandomized, so tier-1 runs the same examples every time (~1 s).
+TIER1 = settings(
+    max_examples=300, derandomize=True, database=None, deadline=None
+)
+
+_EDIT = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(1, 255)),
+    st.tuples(st.just("dup"), st.integers(0, 1 << 16), st.just(0)),
+    st.tuples(st.just("swap"), st.integers(0, 1 << 16), st.integers(0, 1 << 16)),
+)
+
+
+@pytest.fixture(scope="module")
+def clean_streams(tmp_path_factory):
+    """Each stream's clean bytes and records, written by its own writer."""
+    streams = {}
+    for name, stream in STREAMS.items():
+        path = stream.seed(tmp_path_factory.mktemp(name))
+        data = open(path, "rb").read()
+        streams[name] = (data, stream.read(path))
+    return streams
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    for op, a, b in edits:
+        if op == "flip":
+            buf = bytearray(data)
+            buf[a % len(buf)] ^= b
+            data = bytes(buf)
+            continue
+        lines = data.splitlines(keepends=True)
+        i, j = a % len(lines), b % len(lines)
+        if op == "dup":
+            lines.insert(i, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        data = b"".join(lines)
+    return data
+
+
+class TestByteFlips:
+    """Item 6's on-disk slice: whatever the damage, the shared reader
+    never raises, never returns a record its stream's check rejects,
+    never returns an altered sealed record, and trusts exactly the
+    bytes its records came from — so the healing append that follows
+    leaves the prefix plus the new record."""
+
+    @TIER1
+    @given(name=st.sampled_from(sorted(CHECKS)), edits=st.lists(_EDIT, min_size=1, max_size=4))
+    def test_reader_trusts_only_intact_records(
+        self, clean_streams, tmp_path_factory, name, edits
+    ):
+        data, originals = clean_streams[name]
+        check, sealed = CHECKS[name]
+        damaged = _mutate(data, edits)
+        path = tmp_path_factory.getbasetemp() / f"flip-{name}.ndjson"
+        path.write_bytes(damaged)
+
+        scan = read_ndjson(path, check, sealed)
+        for record in scan.records:
+            check(record)
+            if sealed:
+                assert record_intact(record) and record in originals
+        assert (scan.reason is None) == (scan.dropped == 0)
+        path.write_bytes(damaged[: scan.trusted])
+        assert read_ndjson(path, check, sealed) == (
+            scan.records, 0, scan.trusted, None, None
+        )
+
+        path.write_bytes(damaged)
+        body = {k: v for k, v in originals[0].items() if k != "sha256"}
+        new = RecordLog(path, check, sealed=sealed, durable=False).append(body)
+        assert read_ndjson(path, check, sealed).records == scan.records + [new]
